@@ -8,10 +8,11 @@ exit codes: 0 success, 1 validation failure, 2 usage error.
 from __future__ import annotations
 
 import sys
+from typing import Optional
 
 import click
 
-from .core import Signature, validate
+from .core import Signature
 from .cospan import is_mda_well_typed, validate_cospan
 from .egraph import EGraphError, translate
 from .engine import (
@@ -65,6 +66,20 @@ def _load_cospan(path: str):
         raise _fail(str(exc)) from exc
 
 
+def _violations(c, sig: Optional[Signature] = None) -> list[str]:
+    return validate_cospan(c, sig) + is_mda_well_typed(c)
+
+
+def _load_valid_cospan(path: str):
+    """Load a diagram that the library operations can work on; exit 1 listing
+    the violated conditions otherwise."""
+    c = _load_cospan(path)
+    report = _violations(c)
+    if report:
+        raise _fail("\n".join([f"{path}: not a well-formed diagram"] + report))
+    return c
+
+
 def _load_sig(path: str, cartesian: bool) -> Signature:
     try:
         return parse_signature(_read(path), cartesian=cartesian)
@@ -86,7 +101,7 @@ def check(graph: str, sig_path: str, cartesian: bool) -> None:
     """Validate a serialized diagram; exit 1 listing violated conditions."""
     c = _load_cospan(graph)
     sig = _load_sig(sig_path, cartesian) if sig_path else None
-    report = validate_cospan(c, sig) + is_mda_well_typed(c)
+    report = _violations(c, sig)
     if report:
         for line in report:
             click.echo(line, err=True)
@@ -122,7 +137,7 @@ def interp(term_text: str, sig_path: str, cartesian: bool) -> None:
 def rewrite(graph: str, rules_path: str, sig_path: str, cartesian: bool,
             mode: str, budget: int) -> None:
     """Apply rewrite rules to a diagram."""
-    c = _load_cospan(graph)
+    c = _load_valid_cospan(graph)
     sig = _load_sig(sig_path, cartesian)
     try:
         rules = parse_rules(_read(rules_path), sig)
@@ -154,7 +169,7 @@ def rewrite(graph: str, rules_path: str, sig_path: str, cartesian: bool,
 def saturate_cmd(graph: str, rules_path: str, sig_path: str, cartesian: bool,
                  max_steps: int, bidirectional: bool) -> None:
     """Grow the diagram with all rule-derived alternatives."""
-    c = _load_cospan(graph)
+    c = _load_valid_cospan(graph)
     sig = _load_sig(sig_path, cartesian)
     try:
         rules = parse_rules(_read(rules_path), sig)
@@ -174,7 +189,7 @@ def saturate_cmd(graph: str, rules_path: str, sig_path: str, cartesian: bool,
 @click.option("--budget", type=int, default=10_000, show_default=True)
 def normalize_cmd(graph: str, budget: int) -> None:
     """Drive structural rules to the box-free-alternatives normal form."""
-    c = _load_cospan(graph)
+    c = _load_valid_cospan(graph)
     try:
         res = normalize(c, budget=budget)
     except EngineError as exc:
@@ -188,7 +203,7 @@ def normalize_cmd(graph: str, budget: int) -> None:
               help="Cost file with `name = cost` lines (default: 1 per edge).")
 def extract_cmd(graph: str, costs_path: str) -> None:
     """Print a cheapest term represented by the diagram."""
-    c = _load_cospan(graph)
+    c = _load_valid_cospan(graph)
     try:
         model = parse_costs(_read(costs_path)) if costs_path else CostModel()
         t = extract(c, model)

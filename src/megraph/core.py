@@ -10,11 +10,13 @@ represents).
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional
+from typing import Hashable, Iterable, Iterator, Optional, TypeVar
 
 # An element of a graph is a tagged id: ("v", vertex_id) or ("e", edge_id).
 Element = tuple[str, int]
+T = TypeVar("T", bound=Hashable)
 
 
 @dataclass(frozen=True)
@@ -304,15 +306,6 @@ def degrees(g: EHypergraph, v: int) -> tuple[int, int]:
     return ind, outd
 
 
-def successors(g: EHypergraph) -> dict[int, set[int]]:
-    """Vertex-level step relation: v -> w when some edge consumes v and produces w."""
-    succ: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for e in g.edges:
-        for u in g.source[e]:
-            succ[u].update(g.target[e])
-    return succ
-
-
 def is_acyclic(g: EHypergraph) -> bool:
     """True when no directed path of edges returns to its starting edge."""
     enext: dict[int, set[int]] = {e: set() for e in g.edges}
@@ -363,50 +356,218 @@ def down_closure(g: EHypergraph, seed: Iterable[int]) -> set[Element]:
     return closed
 
 
-def is_convex(g: EHypergraph, sub: set[Element]) -> bool:
-    """True when every directed path between vertices of ``sub`` stays in ``sub``."""
-    sub_vs = {i for k, i in sub if k == "v"}
-    if not sub_vs:
-        return True
-    succ = successors(g)
+def reach(g: EHypergraph, starts: set[int]) -> tuple[set[int], set[int]]:
+    """(forward, backward) reach of a vertex set along directed edges: the
+    vertices some start reaches, and the vertices that reach some start.
+    Both include the starts."""
+    succ: dict[int, set[int]] = {v: set() for v in g.vertices}
+    pred: dict[int, set[int]] = {v: set() for v in g.vertices}
+    for e in g.edges:
+        for u in g.source[e]:
+            succ[u].update(g.target[e])
+        for w in g.target[e]:
+            pred[w].update(g.source[e])
 
-    def reach(starts: set[int]) -> set[int]:
+    def close(rel: dict[int, set[int]]) -> set[int]:
         seen = set(starts)
-        todo = list(starts)
+        todo = list(seen)
         while todo:
-            v = todo.pop()
-            for w in succ[v]:
+            for w in rel[todo.pop()]:
                 if w not in seen:
                     seen.add(w)
                     todo.append(w)
         return seen
 
-    fwd = reach(sub_vs)
-    pred: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for v, ws in succ.items():
-        for w in ws:
-            pred[w].add(v)
-    bwd = set(sub_vs)
-    todo = list(sub_vs)
-    while todo:
-        v = todo.pop()
-        for u in pred[v]:
-            if u not in bwd:
-                bwd.add(u)
-                todo.append(u)
+    return close(succ), close(pred)
+
+
+def is_convex(g: EHypergraph, sub: set[Element]) -> bool:
+    """True when every directed path between vertices of ``sub`` stays in ``sub``."""
+    sub_vs = {i for k, i in sub if k == "v"}
+    if not sub_vs:
+        return True
+    fwd, bwd = reach(g, sub_vs)
     # A vertex lies on some sub-to-sub path iff it is both reachable from sub
     # and reaches sub; an edge does iff one of its sources is reachable and
     # one of its targets reaches back.
-    between = fwd & bwd
-    for v in between:
-        if ("v", v) not in sub:
-            return False
-    for e in g.edges:
-        if ("e", e) in sub:
+    if any(("v", v) not in sub for v in fwd & bwd):
+        return False
+    return not any(
+        ("e", e) not in sub
+        and any(u in fwd for u in g.source[e])
+        and any(w in bwd for w in g.target[e])
+        for e in g.edges
+    )
+
+
+def connected_components(nodes: Iterable[T], links: Iterable[tuple[T, T]]) -> list[list[T]]:
+    """The classes of ``nodes`` under the undirected closure of ``links``."""
+    adj: dict[T, list[T]] = {n: [] for n in nodes}
+    for a, b in links:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen: set[T] = set()
+    out: list[list[T]] = []
+    for start in adj:
+        if start in seen:
             continue
-        if any(u in fwd for u in g.source[e]) and any(w in bwd for w in g.target[e]):
+        seen.add(start)
+        todo, members = [start], []
+        while todo:
+            n = todo.pop()
+            members.append(n)
+            for m in adj[n]:
+                if m not in seen:
+                    seen.add(m)
+                    todo.append(m)
+        out.append(members)
+    return out
+
+
+def _vertex_keys(g: EHypergraph, flags: dict[int, Hashable]) -> dict[int, tuple]:
+    """Per vertex: depth, in-degree, out-degree and caller-supplied flag."""
+    ind: Counter[int] = Counter()
+    outd: Counter[int] = Counter()
+    for e in g.edges:
+        outd.update(g.source[e])
+        ind.update(g.target[e])
+    return {v: (g.depth(("v", v)), ind[v], outd[v], flags.get(v)) for v in g.vertices}
+
+
+def embeddings(
+    pat: EHypergraph,
+    host: EHypergraph,
+    exact: bool = False,
+    forced: Optional[dict[int, int]] = None,
+    vflags: tuple[dict[int, Hashable], dict[int, Hashable]] = ({}, {}),
+) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
+    """Yield (vertex map, edge map) pairs of injective maps from ``pat`` into
+    ``host`` that preserve labels, ordered endpoints, immediate parents and
+    consistency components.
+
+    By default top-level pattern elements may land inside host boxes and
+    several pattern components may land in one host component.  With
+    ``exact`` only isomorphisms are yielded: top level maps to top level,
+    components map injectively per box, and every vertex keeps its depth,
+    in/out degree and ``vflags`` entry (pattern flags first).  ``forced``
+    pins vertex images before the search starts.
+    """
+    if exact and (
+        len(pat.vertices) != len(host.vertices) or len(pat.edges) != len(host.edges)
+    ):
+        return
+    forced = forced or {}
+
+    def ekey(g: EHypergraph, e: int) -> tuple:
+        key = (g.label[e], len(g.source[e]), len(g.target[e]))
+        return key + (g.depth(("e", e)),) if exact else key
+
+    # Edges outermost first, so a parent box is mapped before its children.
+    edges = sorted(pat.edges, key=lambda e: (pat.depth(("e", e)), e))
+    edge_keys = [ekey(pat, e) for e in edges]
+    by_key: dict[tuple, list[int]] = {}
+    for e in host.edges:
+        by_key.setdefault(ekey(host, e), []).append(e)
+    pkey: dict[int, tuple] = {}
+    hkey: dict[int, tuple] = {}
+    if exact:
+        pkey, hkey = _vertex_keys(pat, vflags[0]), _vertex_keys(host, vflags[1])
+        if Counter(pkey.values()) != Counter(hkey.values()):
+            return
+        if Counter(edge_keys) != Counter({k: len(es) for k, es in by_key.items()}):
+            return
+
+    vmap: dict[int, int] = {}
+    emap: dict[int, int] = {}
+    used_v: set[int] = set()
+    used_e: set[int] = set()
+    # (pattern box, pattern component) -> host component; in exact mode
+    # ``taken`` holds the (pattern box, host component) pairs already hit.
+    comps: dict[tuple[int, int], int] = {}
+    taken: set[tuple[int, int]] = set()
+
+    def try_place(pp, pc, hp, hc, undo: list) -> bool:
+        """Parent and component of a pattern element against a host candidate."""
+        if pp is None:
+            return not exact or hp is None
+        if hp is None or emap.get(pp) != hp:
             return False
-    return True
+        key = (pp, pc)
+        if key in comps:
+            return comps[key] == hc
+        if exact:
+            if (pp, hc) in taken:
+                return False
+            taken.add((pp, hc))
+        comps[key] = hc
+        undo.append(("c", key, hc))
+        return True
+
+    def try_vertex(va: int, vb: int, undo: list) -> bool:
+        if va in vmap:
+            return vmap[va] == vb
+        if vb in used_v or (exact and pkey[va] != hkey[vb]):
+            return False
+        if not try_place(
+            pat.vparent.get(va), pat.vcomp.get(va),
+            host.vparent.get(vb), host.vcomp.get(vb), undo,
+        ):
+            return False
+        vmap[va] = vb
+        used_v.add(vb)
+        undo.append(("v", va, vb))
+        return True
+
+    def try_edge(ea: int, eb: int, undo: list) -> bool:
+        if eb in used_e:
+            return False
+        if not try_place(
+            pat.eparent.get(ea), pat.ecomp.get(ea),
+            host.eparent.get(eb), host.ecomp.get(eb), undo,
+        ):
+            return False
+        emap[ea] = eb
+        used_e.add(eb)
+        undo.append(("e", ea, eb))
+        return all(
+            try_vertex(va, vb, undo)
+            for va, vb in zip(pat.endpoints(ea), host.endpoints(eb))
+        )
+
+    def undo_all(undo: list) -> None:
+        for kind, a, b in reversed(undo):
+            if kind == "v":
+                del vmap[a]
+                used_v.discard(b)
+            elif kind == "e":
+                del emap[a]
+                used_e.discard(b)
+            else:
+                del comps[a]
+                taken.discard((a[0], b))
+
+    for va, vb in forced.items():
+        if not try_vertex(va, vb, []):
+            return
+    # After the edges, the vertices that no edge or pin reaches.
+    touched = set(forced).union(*(pat.endpoints(e) for e in edges))
+    loose = [v for v in pat.vertices if v not in touched]
+
+    def search(i: int) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
+        if i == len(edges) + len(loose):
+            yield dict(vmap), dict(emap)
+            return
+        if i < len(edges):
+            a, cands, attempt = edges[i], by_key.get(edge_keys[i], ()), try_edge
+        else:
+            a, cands, attempt = loose[i - len(edges)], host.vertices, try_vertex
+        for b in cands:
+            undo: list = []
+            if attempt(a, b, undo):
+                yield from search(i + 1)
+            undo_all(undo)
+
+    yield from search(0)
 
 
 @dataclass

@@ -10,16 +10,17 @@ nested inside boxes.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from .core import (
     EHomomorphism,
     EHypergraph,
     Element,
     Signature,
+    connected_components,
     degrees,
+    embeddings,
     is_acyclic,
     validate,
 )
@@ -182,162 +183,8 @@ def _box_typing(c: ExtendedCospan) -> list[str]:
 
 
 # ---------------------------------------------------------------------------
-# Carrier isomorphism search
+# Isomorphism
 # ---------------------------------------------------------------------------
-
-
-def _vertex_invariant(g: EHypergraph, flags: dict[int, object]):
-    degs = {v: degrees(g, v) for v in g.vertices}
-
-    def sig(v: int):
-        return (g.depth(("v", v)), degs[v], flags.get(v))
-
-    return sig
-
-
-def carrier_isomorphisms(
-    ga: EHypergraph,
-    gb: EHypergraph,
-    forced: Optional[dict[int, int]] = None,
-    flags_a: Optional[dict[int, object]] = None,
-    flags_b: Optional[dict[int, object]] = None,
-) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
-    """Yield (vertex map, edge map) pairs witnessing carrier isomorphism.
-
-    ``forced`` pins vertex assignments up front.  ``flags`` attach extra
-    invariants (e.g. interface membership) that must be preserved.
-    """
-    forced = forced or {}
-    flags_a = flags_a or {}
-    flags_b = flags_b or {}
-    if len(ga.vertices) != len(gb.vertices) or len(ga.edges) != len(gb.edges):
-        return
-    siga = _vertex_invariant(ga, flags_a)
-    sigb = _vertex_invariant(gb, flags_b)
-    if sorted(map(repr, (siga(v) for v in ga.vertices))) != sorted(
-        map(repr, (sigb(v) for v in gb.vertices))
-    ):
-        return
-
-    def esig(g: EHypergraph, e: int):
-        return (g.label[e], len(g.source[e]), len(g.target[e]), g.depth(("e", e)))
-
-    if sorted(map(repr, (esig(ga, e) for e in ga.edges))) != sorted(
-        map(repr, (esig(gb, e) for e in gb.edges))
-    ):
-        return
-
-    vmap: dict[int, int] = {}
-    emap: dict[int, int] = {}
-    used_v: set[int] = set()
-    used_e: set[int] = set()
-    # Component correspondence per box: (dom box, dom comp) -> cod comp,
-    # with a reverse map enforcing injectivity per box.
-    compmap: dict[tuple[int, int], int] = {}
-    comprev: dict[tuple[int, int], int] = {}
-
-    def try_vertex(va: int, vb: int, undo: list) -> bool:
-        if va in vmap:
-            return vmap[va] == vb
-        if vb in used_v:
-            return False
-        if repr(siga(va)) != repr(sigb(vb)):
-            return False
-        pa, pb = ga.vparent.get(va), gb.vparent.get(vb)
-        if (pa is None) != (pb is None):
-            return False
-        if pa is not None:
-            if emap.get(pa) != pb:
-                return False
-            if not try_comp(pa, ga.vcomp[va], gb.vcomp[vb], undo):
-                return False
-        vmap[va] = vb
-        used_v.add(vb)
-        undo.append(("v", va, vb))
-        return True
-
-    def try_comp(pa: int, ca: int, cb: int, undo: list) -> bool:
-        key = (pa, ca)
-        if key in compmap:
-            return compmap[key] == cb
-        rkey = (pa, cb)
-        if rkey in comprev:
-            return False
-        compmap[key] = cb
-        comprev[rkey] = ca
-        undo.append(("c", key, rkey))
-        return True
-
-    def undo_all(undo: list) -> None:
-        for item in reversed(undo):
-            if item[0] == "v":
-                del vmap[item[1]]
-                used_v.discard(item[2])
-            elif item[0] == "e":
-                del emap[item[1]]
-                used_e.discard(item[2])
-            else:
-                del compmap[item[1]]
-                del comprev[item[2]]
-
-    # Seed forced assignments.
-    seed_undo: list = []
-    for va, vb in forced.items():
-        if not try_vertex(va, vb, seed_undo):
-            return
-
-    edges_a = sorted(ga.edges, key=lambda e: (ga.depth(("e", e)), e))
-    by_sig: dict[str, list[int]] = {}
-    for e in gb.edges:
-        by_sig.setdefault(repr(esig(gb, e)), []).append(e)
-
-    def try_edge(ea: int, eb: int, undo: list) -> bool:
-        if eb in used_e:
-            return False
-        pa, pb = ga.eparent.get(ea), gb.eparent.get(eb)
-        if (pa is None) != (pb is None):
-            return False
-        if pa is not None:
-            if emap.get(pa) != pb:
-                return False
-            if not try_comp(pa, ga.ecomp[ea], gb.ecomp[eb], undo):
-                return False
-        emap[ea] = eb
-        used_e.add(eb)
-        undo.append(("e", ea, eb))
-        for va, vb in zip(ga.endpoints(ea), gb.endpoints(eb)):
-            if not try_vertex(va, vb, undo):
-                return False
-        return True
-
-    rest_a = None  # filled once edges are matched
-
-    def search(idx: int) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
-        if idx == len(edges_a):
-            yield from assign_vertices(0)
-            return
-        ea = edges_a[idx]
-        for eb in by_sig.get(repr(esig(ga, ea)), ()):
-            undo: list = []
-            if try_edge(ea, eb, undo):
-                yield from search(idx + 1)
-            undo_all(undo)
-
-    def assign_vertices(idx: int) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
-        nonlocal rest_a
-        if idx == 0:
-            rest_a = [v for v in ga.vertices if v not in vmap]
-        if idx == len(rest_a):
-            yield dict(vmap), dict(emap)
-            return
-        va = rest_a[idx]
-        for vb in gb.vertices:
-            undo: list = []
-            if try_vertex(va, vb, undo):
-                yield from assign_vertices(idx + 1)
-            undo_all(undo)
-
-    yield from search(0)
 
 
 @dataclass
@@ -433,8 +280,8 @@ def iso(a: ExtendedCospan, b: ExtendedCospan) -> Optional[IsoWitness]:
         ins, outs = set(c.int_in), set(c.int_out)
         return {v: (v in ins, v in outs) for v in c.carrier.vertices}
 
-    for vmap, emap in carrier_isomorphisms(
-        a.carrier, b.carrier, forced, flags(a), flags(b)
+    for vmap, emap in embeddings(
+        a.carrier, b.carrier, exact=True, forced=forced, vflags=(flags(a), flags(b))
     ):
         beta = _interface_bijection(a, b, "in", vmap)
         if beta is None:
@@ -592,25 +439,8 @@ def pushout(left: EHomomorphism, right: EHomomorphism) -> PushoutResult:
 
     # Propagate nesting along undirected connectivity: a parentless element
     # connected to a placed one joins its box and component class.
-    adjacency: dict[Element, set[Element]] = {el: set() for el in p.elements()}
-    for e in p.edges:
-        for v in p.endpoints(e):
-            adjacency[("e", e)].add(("v", v))
-            adjacency[("v", v)].add(("e", e))
-    seen: set[Element] = set()
-    for start in p.elements():
-        if start in seen:
-            continue
-        comp_elems: list[Element] = []
-        stack = [start]
-        seen.add(start)
-        while stack:
-            el = stack.pop()
-            comp_elems.append(el)
-            for nb in adjacency[el]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
+    incidence = [(("e", e), ("v", v)) for e in p.edges for v in p.endpoints(e)]
+    for comp_elems in connected_components(p.elements(), incidence):
         placed = [el for el in comp_elems if el in parent_of]
         if not placed:
             continue

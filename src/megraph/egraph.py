@@ -16,7 +16,14 @@ import itertools
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .core import EHypergraph, Element, Signature, down_closure
+from .core import (
+    EHypergraph,
+    Element,
+    Signature,
+    connected_components,
+    down_closure,
+    reach,
+)
 from . import cospan as cs
 from .cospan import ExtendedCospan
 from .rewrite import (
@@ -25,7 +32,6 @@ from .rewrite import (
     apply,
     extract_subdiagram,
     find_matches,
-    rule_from_terms,
 )
 from .term import Term, interpret
 
@@ -184,22 +190,10 @@ class EGraph:
 
     def is_connected(self) -> bool:
         ids = self.class_ids()
-        if len(ids) <= 1:
-            return True
-        adj: dict[int, set[int]] = {c: set() for c in ids}
-        for c in ids:
-            for n in self.nodes(c):
-                for ch in n.children:
-                    adj[c].add(self.find(ch))
-                    adj[self.find(ch)].add(c)
-        seen = {ids[0]}
-        stack = [ids[0]]
-        while stack:
-            for nb in adj[stack.pop()]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        return len(seen) == len(ids)
+        uses = [
+            (c, self.find(ch)) for c in ids for n in self.nodes(c) for ch in n.children
+        ]
+        return len(connected_components(ids, uses)) <= 1
 
     def __repr__(self) -> str:
         parts = [f"{c}: {{{', '.join(map(repr, self.nodes(c)))}}}" for c in self.class_ids()]
@@ -595,32 +589,12 @@ def _all_elements(g: EHypergraph) -> set[Element]:
 def _convex_hull(g: EHypergraph, elements: set[Element]) -> set[Element]:
     """Grow an element set until every directed path between its top-level
     vertices stays inside it (adding whole hierarchical edges as needed)."""
-    from .core import successors
-
     elements = set(elements)
-    succ = successors(g)
-    pred: dict[int, set[int]] = {v: set() for v in g.vertices}
-    for v, ws in succ.items():
-        for w in ws:
-            pred[w].add(v)
-
-    def reach(starts: set[int], rel: dict[int, set[int]]) -> set[int]:
-        seen = set(starts)
-        todo = list(starts)
-        while todo:
-            v = todo.pop()
-            for w in rel[v]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return seen
-
     while True:
         top_vs = {
             i for k, i in elements if k == "v" and g.vparent.get(i) is None
         }
-        fwd = reach(top_vs, succ)
-        bwd = reach(top_vs, pred)
+        fwd, bwd = reach(g, top_vs)
         grew = False
         for e in g.edges:
             if ("e", e) in elements or g.eparent.get(e) is not None:

@@ -11,10 +11,9 @@ pruned diagram as a term.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 from .core import down_closure
 from . import cospan as cs
@@ -23,7 +22,8 @@ from . import term as tm
 from .rewrite import (
     Match,
     RewriteRule,
-    SCHEMA_IDS,
+    _box_components,
+    _reordered,
     apply,
     component_cospan,
     extract_subdiagram,
@@ -39,10 +39,8 @@ class EngineError(Exception):
 @dataclass
 class Strategy:
     rules: list[RewriteRule] = field(default_factory=list)
-    schemas: tuple[str, ...] = SCHEMA_IDS
     max_steps: int = 100
     bidirectional: bool = False
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.max_steps < 0:
@@ -89,8 +87,11 @@ def normalize(
     """Apply forward structural schemas to a fixpoint.
 
     ``order`` selects which available step runs first ("first" or "last"),
-    used to probe order-independence.  Raises :class:`EngineError` when the
-    step budget is exhausted.
+    used to probe order-independence.  A box beside a bare wire (as in
+    ``(f + g) * id:1``) has no tensor-distribution step, because no match
+    exists for a left-hand side with a bare wire; such a box is left
+    unnormalized.  Raises :class:`EngineError` when the step budget is
+    exhausted.
     """
     cur = c
     for _ in range(budget):
@@ -102,70 +103,46 @@ def normalize(
     raise EngineError("normalization step budget exceeded")
 
 
+def _top_box(c: ExtendedCospan) -> Optional[int]:
+    """The box when the whole diagram is one top-level alternative box."""
+    g = c.carrier
+    tops = [e for e in g.edges if g.eparent.get(e) is None]
+    if len(tops) != 1 or not g.is_box(tops[0]):
+        return None
+    endpoints = set(g.endpoints(tops[0]))
+    if all(v in endpoints for v in g.vertices if g.vparent.get(v) is None):
+        return tops[0]
+    return None
+
+
 def _canonical_join(c: ExtendedCospan) -> ExtendedCospan:
     """Rebuild a top-level alternative box with its wires attached in
     external-interface order, so the result does not depend on the order in
     which alternatives were accumulated."""
+    box = _top_box(c)
+    if box is None:
+        return c
     g = c.carrier
-    tops = [e for e in g.edges if g.eparent.get(e) is None]
-    if len(tops) != 1 or not g.is_box(tops[0]):
-        return c
-    box = tops[0]
-    endpoints = set(g.endpoints(box))
-    if not all(v in endpoints for v in g.vertices if g.vparent.get(v) is None):
-        return c
     src, tgt = list(g.source[box]), list(g.target[box])
     ext_in = list(c.ext_in_vertices())
     ext_out = list(c.ext_out_vertices())
     if set(src) != set(ext_in) or set(tgt) != set(ext_out):
         return c
-    comps = sorted(
-        {(g.vcomp[i] if k == "v" else g.ecomp[i]) for k, i in g.children(box)}
-    )
-    parts = []
-    for k in comps:
-        d = component_cospan(c, box, k)  # ports follow the box's wire order
-        part = d
-        if src != ext_in:
-            part = cs.compose(
-                _port_wiring(len(ext_in), [ext_in.index(v) for v in src]), part
-            )
-        if tgt != ext_out:
-            part = cs.compose(
-                part, _port_wiring(len(tgt), [tgt.index(v) for v in ext_out])
-            )
-        parts.append(part)
-    return cs.join(parts)
-
-
-def _port_wiring(n: int, out_of: Sequence[int]) -> ExtendedCospan:
-    g = cs.discrete(n)
-    vs = tuple(g.vertices)
-    return ExtendedCospan(
-        g,
-        vs,
-        tuple(vs[i] for i in out_of),
-        tuple(range(n)),
-        tuple(range(len(out_of))),
+    # Each component's ports follow the box's wire order.
+    return cs.join(
+        [
+            _reordered(component_cospan(c, box, k), src, tgt, ext_in, ext_out)
+            for k in _box_components(g, box)
+        ]
     )
 
 
 def components(c: ExtendedCospan) -> list[ExtendedCospan]:
     """The alternatives of a top-level alternative box, or ``[c]`` itself."""
-    g = c.carrier
-    tops = [e for e in g.edges if g.eparent.get(e) is None]
-    if len(tops) == 1 and g.is_box(tops[0]):
-        box = tops[0]
-        endpoints = set(g.endpoints(box))
-        if all(v in endpoints for v in g.vertices if g.vparent.get(v) is None):
-            comps = sorted(
-                {
-                    (g.vcomp[i] if k == "v" else g.ecomp[i])
-                    for k, i in g.children(box)
-                }
-            )
-            return [component_cospan(c, box, k) for k in comps]
-    return [c]
+    box = _top_box(c)
+    if box is None:
+        return [c]
+    return [component_cospan(c, box, k) for k in _box_components(c.carrier, box)]
 
 
 # ---------------------------------------------------------------------------
@@ -356,13 +333,7 @@ def export_dot(c: ExtendedCospan) -> str:
         out.append(f'{indent}  style=dashed;')
         out.append(f'{indent}  label="e{e}";')
         out.append(f"{indent}  a{e} [shape=point, style=invis];")
-        comps = sorted(
-            {
-                (g.vcomp[i] if k == "v" else g.ecomp[i])
-                for k, i in g.children(e)
-            }
-        )
-        for comp in comps:
+        for comp in _box_components(g, e):
             out.append(f"{indent}  subgraph cluster_e{e}_c{comp} {{")
             out.append(f"{indent}    style=dashed;")
             out.append(f'{indent}    label="alt {comp}";')

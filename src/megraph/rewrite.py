@@ -13,7 +13,7 @@ concrete rule plus match, so the single generic engine covers every rewrite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
 from .core import (
@@ -21,11 +21,12 @@ from .core import (
     EHypergraph,
     Element,
     Signature,
+    connected_components,
     down_closure,
+    embeddings,
     is_convex,
 )
 from .cospan import (
-    CospanError,
     ExtendedCospan,
     PushoutPreconditionError,
     discrete,
@@ -38,7 +39,7 @@ from .cospan import (
     compose,
     validate_cospan,
 )
-from .term import Term, TermType, interpret, typecheck
+from .term import Term, interpret, typecheck
 
 
 class RuleError(Exception):
@@ -86,36 +87,12 @@ def _has_closed_component(c: ExtendedCospan) -> bool:
     """True when some connected piece of the carrier touches no interface slot."""
     g = c.carrier
     slots = set(c.int_in) | set(c.int_out)
-    adj: dict[Element, set[Element]] = {el: set() for el in g.elements()}
-    for e in g.edges:
-        for v in g.endpoints(e):
-            adj[("e", e)].add(("v", v))
-            adj[("v", v)].add(("e", e))
-        p = g.eparent.get(e)
-        if p is not None:
-            adj[("e", e)].add(("e", p))
-            adj[("e", p)].add(("e", e))
-    for v in g.vertices:
-        p = g.vparent.get(v)
-        if p is not None:
-            adj[("v", v)].add(("e", p))
-            adj[("e", p)].add(("v", v))
-    seen: set[Element] = set()
-    for start in g.elements():
-        if start in seen:
-            continue
-        stack, members = [start], []
-        seen.add(start)
-        while stack:
-            el = stack.pop()
-            members.append(el)
-            for nb in adj[el]:
-                if nb not in seen:
-                    seen.add(nb)
-                    stack.append(nb)
-        if not any(k == "v" and i in slots for k, i in members):
-            return True
-    return False
+    links = [(("e", e), ("v", v)) for e in g.edges for v in g.endpoints(e)]
+    links += [(el, ("e", p)) for el in g.elements() if (p := g.parent_of(el)) is not None]
+    return any(
+        not any(k == "v" and i in slots for k, i in members)
+        for members in connected_components(g.elements(), links)
+    )
 
 
 def rule_from_terms(name: str, l: Term, r: Term, sig: Signature) -> RewriteRule:
@@ -147,107 +124,10 @@ def monomorphisms(
     Top-level pattern elements may land inside host boxes (nested matches);
     nested pattern structure must be preserved exactly.
     """
-    vmap: dict[int, int] = {}
-    emap: dict[int, int] = {}
-    used_v: set[int] = set()
-    used_e: set[int] = set()
-    # Consistency: pattern elements in one (box, component) must land in one
-    # (box, component) of the host.
-    compimg: dict[tuple[int, int], int] = {}
-
-    def try_vertex(va: int, vb: int, undo: list) -> bool:
-        if va in vmap:
-            return vmap[va] == vb
-        if vb in used_v:
-            return False
-        pa = pat.vparent.get(va)
-        if pa is not None:
-            if emap.get(pa) != host.vparent.get(vb):
-                return False
-            if not try_comp(pa, pat.vcomp[va], host.vcomp[vb], undo):
-                return False
-        vmap[va] = vb
-        used_v.add(vb)
-        undo.append(("v", va, vb))
-        return True
-
-    def try_comp(pa: int, ca: int, cb: int, undo: list) -> bool:
-        key = (pa, ca)
-        if key in compimg:
-            return compimg[key] == cb
-        compimg[key] = cb
-        undo.append(("c", key))
-        return True
-
-    def undo_all(undo: list) -> None:
-        for item in reversed(undo):
-            if item[0] == "v":
-                del vmap[item[1]]
-                used_v.discard(item[2])
-            elif item[0] == "e":
-                del emap[item[1]]
-                used_e.discard(item[2])
-            else:
-                del compimg[item[1]]
-
-    def try_edge(ea: int, eb: int, undo: list) -> bool:
-        if eb in used_e:
-            return False
-        if pat.label[ea] != host.label[eb]:
-            return False
-        if len(pat.source[ea]) != len(host.source[eb]) or len(pat.target[ea]) != len(
-            host.target[eb]
-        ):
-            return False
-        pa = pat.eparent.get(ea)
-        if pa is not None:
-            if emap.get(pa) != host.eparent.get(eb):
-                return False
-            if not try_comp(pa, pat.ecomp[ea], host.ecomp[eb], undo):
-                return False
-        emap[ea] = eb
-        used_e.add(eb)
-        undo.append(("e", ea, eb))
-        for va, vb in zip(pat.endpoints(ea), host.endpoints(eb)):
-            if not try_vertex(va, vb, undo):
-                return False
-        return True
-
-    edges = sorted(pat.edges, key=lambda e: (pat.depth(("e", e)), e))
-    by_label: dict = {}
-    for e in host.edges:
-        by_label.setdefault(host.label[e], []).append(e)
-
-    loose = None
-
-    def search(idx: int) -> Iterator[EHomomorphism]:
-        if idx == len(edges):
-            yield from assign_vertices(0)
-            return
-        ea = edges[idx]
-        for eb in by_label.get(pat.label[ea], ()):
-            undo: list = []
-            if try_edge(ea, eb, undo):
-                yield from search(idx + 1)
-            undo_all(undo)
-
-    def assign_vertices(idx: int) -> Iterator[EHomomorphism]:
-        nonlocal loose
-        if idx == 0:
-            loose = [v for v in pat.vertices if v not in vmap]
-        if idx == len(loose):
-            hom = EHomomorphism(dom=pat, cod=host, vmap=dict(vmap), emap=dict(emap))
-            if hom.is_valid():
-                yield hom
-            return
-        va = loose[idx]
-        for vb in host.vertices:
-            undo: list = []
-            if try_vertex(va, vb, undo):
-                yield from assign_vertices(idx + 1)
-            undo_all(undo)
-
-    yield from search(0)
+    for vmap, emap in embeddings(pat, host):
+        hom = EHomomorphism(dom=pat, cod=host, vmap=vmap, emap=emap)
+        if hom.is_valid():
+            yield hom
 
 
 def _glue_vertices(m: Match) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -267,12 +147,18 @@ def _interface_images_admissible(host: EHypergraph, vs: Sequence[int]) -> bool:
 
 
 def find_matches(rule: RewriteRule, host: ExtendedCospan) -> list[Match]:
-    """Enumerate admissible convex down-closed matches, deterministically ordered."""
+    """Enumerate admissible convex down-closed matches, deterministically ordered.
+
+    A left-hand side with a bare wire (one vertex that is both an external
+    input and an external output) has no match: the images of its input and
+    output glue would overlap, so no boundary complement exists.
+    """
+    lhs = rule.lhs
+    if set(lhs.ext_in_vertices()) & set(lhs.ext_out_vertices()):
+        return []
     out: list[Match] = []
     hg = host.carrier
-    for hom in monomorphisms(rule.lhs.carrier, hg):
-        if not hom.is_mono():
-            continue
+    for hom in monomorphisms(lhs.carrier, hg):
         image = hom.image()
         # Down-closed: every child of a matched box is matched.
         image_edges = set(hom.emap.values())
@@ -576,21 +462,10 @@ def component_cospan(host: ExtendedCospan, box: int, comp: int) -> ExtendedCospa
 # Structural schemas
 # ---------------------------------------------------------------------------
 
-SCHEMA_IDS = (
-    "Flatten",
-    "Idem",
-    "Singleton-absorb",
-    "SeqDistL",
-    "SeqDistR",
-    "TensDistL",
-    "TensDistR",
-)
-
 
 @dataclass(frozen=True)
 class StructuralSchema:
     schema_id: str
-    direction: str = "forward"
 
 
 def _wiring(n: int, out_of: Sequence[int]) -> ExtendedCospan:
@@ -607,12 +482,8 @@ def _wiring(n: int, out_of: Sequence[int]) -> ExtendedCospan:
 
 
 def _box_components(g: EHypergraph, box: int) -> list[int]:
-    comps: list[int] = []
-    for kind, i in g.children(box):
-        c = g.vcomp[i] if kind == "v" else g.ecomp[i]
-        if c not in comps:
-            comps.append(c)
-    return sorted(comps)
+    """The component indices in use inside a box, ascending."""
+    return sorted({g.component_of(el) for el in g.children(box)})
 
 
 def _box_instances(host: ExtendedCospan) -> list[int]:
@@ -713,21 +584,15 @@ def _seq_dist_instance(
 
 
 def _tens_dist_instance(
-    host: ExtendedCospan, e: Optional[int], wire: Optional[int], box: int
+    host: ExtendedCospan, e: int, box: int
 ) -> Optional[tuple[StructuralSchema, Match]]:
-    """Absorb a parallel sibling (edge or bare wire) into every component."""
+    """Absorb a parallel sibling edge into every component."""
     hg = host.carrier
-    if e is not None:
-        elements = down_closure(hg, [e, box])
-        ectx, _ = extract_subdiagram(
-            host, down_closure(hg, [e]), list(hg.source[e]), list(hg.target[e])
-        )
-        e_in, e_out = list(hg.source[e]), list(hg.target[e])
-    else:
-        elements = down_closure(hg, [box])
-        elements.add(("v", wire))
-        ectx = identity_cospan(1)
-        e_in, e_out = [wire], [wire]
+    elements = down_closure(hg, [e, box])
+    ectx, _ = extract_subdiagram(
+        host, down_closure(hg, [e]), list(hg.source[e]), list(hg.target[e])
+    )
+    e_in, e_out = list(hg.source[e]), list(hg.target[e])
     if set(e_in + e_out) & set(hg.endpoints(box)):
         return None  # connected: a sequential instance, not a parallel one
     raw_in = e_in + list(hg.source[box])
@@ -831,20 +696,7 @@ def structural_matches(
             elif set(hg.source[e]) & box_tgt:
                 inst = _seq_dist_instance(host, e, box, "R")
             else:
-                inst = _tens_dist_instance(host, e, None, box)
-            if inst:
-                out.append(inst)
-        # Bare parallel wires (vertices with no incident edge at this level).
-        incident: set[int] = set()
-        for e in hg.edges:
-            incident.update(hg.endpoints(e))
-        wires = sorted(
-            v
-            for v in hg.vertices
-            if v not in incident and hg.placement(("v", v)) == placement
-        )
-        for w in wires:
-            inst = _tens_dist_instance(host, None, w, box)
+                inst = _tens_dist_instance(host, e, box)
             if inst:
                 out.append(inst)
     return out

@@ -63,14 +63,20 @@ def graph_to_doc(g: EHypergraph) -> dict[str, Any]:
     }
 
 
-def graph_from_doc(doc: dict[str, Any]) -> EHypergraph:
+def graph_from_doc(doc: dict[str, Any]) -> tuple[EHypergraph, dict[int, int]]:
+    """The graph of a document, and the map from document vertex ids to
+    graph vertex ids (interface fields refer to document ids)."""
     g = EHypergraph()
     try:
-        vmap = {}
+        vmap: dict[int, int] = {}
         for v in doc["vertices"]:
+            if int(v) in vmap:
+                raise SerializationError(f"duplicate vertex id {v}")
             vmap[int(v)] = g.add_vertex()
-        emap = {}
+        emap: dict[int, int] = {}
         for ed in doc["edges"]:
+            if int(ed["id"]) in emap:
+                raise SerializationError(f"duplicate edge id {ed['id']}")
             label = ed["label"]
             emap[int(ed["id"])] = g.add_edge(
                 None if label == HIERARCHICAL else str(label),
@@ -87,9 +93,7 @@ def graph_from_doc(doc: dict[str, Any]) -> EHypergraph:
             else:
                 g.eparent[emap[i]] = parent
                 g.ecomp[emap[i]] = comp
-        # remember the renumbering for interface fields
-        g._doc_vmap = vmap  # type: ignore[attr-defined]
-        return g
+        return g, vmap
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed graph document: {exc}") from exc
 
@@ -104,9 +108,7 @@ def cospan_to_doc(c: ExtendedCospan) -> dict[str, Any]:
 
 
 def cospan_from_doc(doc: dict[str, Any]) -> ExtendedCospan:
-    g = graph_from_doc(doc)
-    vmap = g._doc_vmap  # type: ignore[attr-defined]
-    del g._doc_vmap  # type: ignore[attr-defined]
+    g, vmap = graph_from_doc(doc)
     try:
         return ExtendedCospan(
             g,

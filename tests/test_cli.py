@@ -132,6 +132,49 @@ class TestNormalizeExtractSaturate:
         assert res.stdout.strip() == "h"
 
 
+def write_doc(tmp_path, cospan, edit, name="bad.json"):
+    doc = json.loads(dumps_cospan(cospan))
+    edit(doc)
+    p = tmp_path / name
+    p.write_text(json.dumps(doc))
+    return str(p)
+
+
+def duplicate_edge_id(doc):
+    doc["edges"][1]["id"] = doc["edges"][0]["id"]
+
+
+def external_slot_out_of_range(doc):
+    doc["ext_in"] = [0, 5]
+
+
+class TestMalformedInput:
+    @pytest.mark.parametrize("edit", [duplicate_edge_id, external_slot_out_of_range])
+    @pytest.mark.parametrize("command", ["extract", "normalize", "check"])
+    def test_exits_1_without_traceback(self, tmp_path, edit, command):
+        path = write_doc(tmp_path, interp("f ; g"), edit)
+        res = RUNNER.invoke(main, [command, path])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+
+
+class TestBareWires:
+    def test_normalize_leaves_a_box_beside_a_bare_wire(self, tmp_path):
+        host = interp("(f + g) * id:1")
+        res = RUNNER.invoke(main, ["normalize", write_graph(tmp_path, host)])
+        assert res.exit_code == 0
+        assert iso(loads_cospan(res.stdout), host) is not None
+
+    def test_rewrite_with_a_bare_wire_rule_applies_nothing(self, tmp_path, sig):
+        path = write_graph(tmp_path, interp("f * h"))
+        rules = tmp_path / "rules.txt"
+        rules.write_text("wire : f * id:1 => g * id:1\n")
+        res = RUNNER.invoke(main, ["rewrite", path, "--rules", str(rules), "--sig", sig])
+        assert res.exit_code == 0
+        assert iso(loads_cospan(res.stdout), interp("f * h")) is not None
+
+
 class TestImportAndDot:
     def test_import_egraph(self, tmp_path, arith_sig):
         eg, _ = egraph_of_term_tree(("div", ("mul", "a", "two"), "two"))

@@ -4,19 +4,29 @@ import random
 
 from hypothesis import given, settings, strategies as st
 
-from megraph.core import down_closure, identity_hom
+from megraph.core import EHomomorphism, EHypergraph, down_closure, embeddings, identity_hom
 from megraph.cospan import (
     compose,
     identity_cospan,
     is_mda_well_typed,
     iso,
     join,
+    join_raw,
     symmetry_cospan,
     tensor,
+    validate_cospan,
+)
+from megraph.rewrite import (
+    RewriteRule,
+    apply,
+    find_matches,
+    monomorphisms,
+    structural_matches,
 )
 from megraph.term import interpret
 
 from .helpers import BASIC, interp, random_term
+from .oracles import all_homs
 
 seeds = st.integers(min_value=0, max_value=10**9)
 widths = st.integers(min_value=1, max_value=3)
@@ -140,3 +150,123 @@ class TestHomomorphisms:
         h = identity_hom(g).then(identity_hom(g))
         assert h.violations() == []
         assert h.vmap == {v: v for v in g.vertices}
+
+
+# ---------------------------------------------------------------------------
+# The shared matcher against the brute-force homomorphism oracle
+# ---------------------------------------------------------------------------
+
+MATCHING = settings(max_examples=200, deadline=None)
+
+
+def random_diagram(rng, max_elements=18):
+    """A small random 1 -> 1 or 2 -> 2 diagram, often with alternative boxes:
+    nested ones, two in a row, boxes with equal alternatives, boxes beside a
+    bare wire."""
+    while True:
+        n = rng.choice([1, 1, 2])
+
+        def piece(size=1):
+            return interpret(random_term(rng, n, n, size=size), BASIC)
+
+        def box(inner=None):
+            first = inner or piece(rng.randint(1, 2))
+            second = first.copy() if rng.random() < 0.3 else piece()
+            return join_raw([first, second])
+
+        shape = rng.randrange(5)
+        if shape == 0:
+            c = piece(rng.randint(1, 4))
+        elif shape == 1:
+            c = box()
+        elif shape == 2:
+            c = box(inner=box())
+        elif shape == 3:
+            c = compose(piece(), box()) if rng.random() < 0.5 else compose(box(), piece())
+        else:
+            b = box()
+            c = compose(b, b.copy() if rng.random() < 0.5 else box())
+        if n == 1 and rng.random() < 0.3:
+            c = tensor(c, identity_cospan(1) if rng.random() < 0.5 else piece())
+        g = c.carrier
+        if len(g.vertices) + len(g.edges) <= max_elements:
+            return c
+
+
+def shuffled_copy(g, rng):
+    """An isomorphic copy of ``g`` whose vertices and edges are allocated in a
+    random order, so the isomorphism between the two is not the identity."""
+    vs, es = list(g.vertices), list(g.edges)
+    rng.shuffle(vs)
+    rng.shuffle(es)
+    h = EHypergraph()
+    vmap = {v: h.add_vertex() for v in vs}
+    emap = {
+        e: h.add_edge(g.label[e], [vmap[v] for v in g.source[e]],
+                      [vmap[v] for v in g.target[e]])
+        for e in es
+    }
+    for v, p in g.vparent.items():
+        h.vparent[vmap[v]], h.vcomp[vmap[v]] = emap[p], g.vcomp[v]
+    for e, p in g.eparent.items():
+        h.eparent[emap[e]], h.ecomp[emap[e]] = emap[p], g.ecomp[e]
+    return h
+
+
+def as_key(vmap, emap):
+    return tuple(sorted(vmap.items())), tuple(sorted(emap.items()))
+
+
+def is_iso(h):
+    """Bijective, and the inverse map is a homomorphism too."""
+    if not h.is_mono():
+        return False
+    if len(h.vmap) != len(h.cod.vertices) or len(h.emap) != len(h.cod.edges):
+        return False
+    inv = EHomomorphism(
+        dom=h.cod, cod=h.dom,
+        vmap={w: v for v, w in h.vmap.items()},
+        emap={d: e for e, d in h.emap.items()},
+    )
+    return inv.is_valid()
+
+
+class TestMatcherAgainstOracle:
+    @given(seeds)
+    @MATCHING
+    def test_monomorphisms_are_the_injective_homomorphisms(self, seed):
+        rng = random.Random(seed)
+        host = random_diagram(rng).carrier
+        pat = random_diagram(rng, max_elements=7).carrier
+        found = [as_key(h.vmap, h.emap) for h in monomorphisms(pat, host)]
+        expected = {as_key(h.vmap, h.emap) for h in all_homs(pat, host) if h.is_mono()}
+        assert len(found) == len(set(found))
+        assert set(found) == expected
+
+    @given(seeds)
+    @MATCHING
+    def test_exact_embeddings_are_the_isomorphisms(self, seed):
+        rng = random.Random(seed)
+        a = random_diagram(rng).carrier
+        b = shuffled_copy(a, rng) if rng.random() < 0.8 else random_diagram(rng).carrier
+        found = [as_key(v, e) for v, e in embeddings(a, b, exact=True)]
+        expected = {as_key(h.vmap, h.emap) for h in all_homs(a, b) if is_iso(h)}
+        assert len(found) == len(set(found))
+        assert set(found) == expected
+
+
+class TestEveryMatchApplies:
+    @given(seeds)
+    @MATCHING
+    def test_find_matches_and_structural_matches_apply(self, seed):
+        rng = random.Random(seed)
+        host = random_diagram(rng)
+        n = rng.choice([1, 2])
+        lhs = interpret(random_term(rng, n, n, size=rng.randint(1, 2)), BASIC)
+        rhs = interpret(random_term(rng, n, n, size=rng.randint(1, 2)), BASIC)
+        rule = RewriteRule("r", lhs, rhs)
+        matches = find_matches(rule, host) + [m for _, m in structural_matches(host)]
+        for m in matches:
+            result = apply(m)
+            assert validate_cospan(result) == []
+            assert is_mda_well_typed(result) == []

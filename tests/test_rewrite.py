@@ -12,6 +12,7 @@ from megraph.rewrite import (
     apply,
     boundary_complement,
     find_matches,
+    monomorphisms,
     rule_from_terms,
     structural_matches,
 )
@@ -98,9 +99,12 @@ class TestBoundaryComplement:
         # an identity-wire pattern maps both glue slots to one host vertex
         rule = RewriteRule("wire", identity_cospan(1), interp("f ; g"))
         host = interp("f")
+        hom = next(monomorphisms(rule.lhs.carrier, host.carrier))
         with pytest.raises(NoComplement) as exc:
-            boundary_complement(find_matches(rule, host)[0])
+            boundary_complement(Match(rule, hom, host))
         assert exc.value.condition == 2
+        # find_matches offers no such match, so every match it returns applies
+        assert find_matches(rule, host) == []
 
     def test_middle_of_chain(self):
         rule = rule_from_terms("r", parse("g"), parse("f"), BASIC)
