@@ -152,39 +152,71 @@ def components(c: ExtendedCospan) -> list[ExtendedCospan]:
 
 @dataclass
 class SaturationResult:
+    """``steps`` is the number of alternatives added.  ``saturated`` is True
+    when the fixpoint was reached, and False only when a new alternative was
+    found after ``max_steps`` had already been added; ``result`` then holds
+    the first ``max_steps`` additions in the order they were found."""
+
     result: ExtendedCospan
     steps: int
     saturated: bool
 
 
 def saturate(c: ExtendedCospan, s: Strategy) -> SaturationResult:
-    """Join in every rule-application result that adds a new alternative."""
+    """Join in every alternative that a rule application produces.
+
+    Worklist (semi-naive) evaluation: the alternatives of ``c`` and every
+    new one found are each matched once against each rule (and its reverse
+    under ``bidirectional``), on their own.  Every component of each result
+    that is not isomorphic to a stored alternative is stored and queued.  A
+    match spanning several alternatives must contain the top-level box, so
+    when the worklist drains, the rules whose left-hand side has a box are
+    also matched against the joined diagram, keeping only the matches of its
+    top box; anything they add resumes the worklist.  Returns ``c`` itself
+    when nothing was added.
+    """
     rules = list(s.rules)
     if s.bidirectional:
         rules += [r.reversed() for r in s.rules]
-    comps = components(c)
-    steps = 0
-    while steps < s.max_steps:
-        cur = comps[0] if len(comps) == 1 else cs.join(comps)
-        added = False
-        for rule in rules:
-            for m in find_matches(rule, cur):
-                cand = apply(m)
-                for new in components(cand):
-                    if all(cs.iso(new, old) is None for old in comps):
-                        comps.append(new)
-                        steps += 1
-                        added = True
-                        break
-                if added:
-                    break
-            if added:
-                break
-        if not added:
-            result = c if steps == 0 else cur
-            return SaturationResult(result, steps, True)
-    result = c if steps == 0 else (comps[0] if len(comps) == 1 else cs.join(comps))
-    return SaturationResult(result, steps, False)
+    boxed = [r for r in rules if any(map(r.lhs.carrier.is_box, r.lhs.carrier.edges))]
+    comps: list[ExtendedCospan] = []
+    for part in components(c):
+        if all(cs.iso(part, old) is None for old in comps):
+            comps.append(part)
+    initial = len(comps)
+
+    def add(m: Match) -> bool:
+        """Store the new components of ``m``'s result; False past the budget."""
+        for new in components(apply(m)):
+            if all(cs.iso(new, old) is None for old in comps):
+                if len(comps) - initial == s.max_steps:
+                    return False
+                comps.append(new)
+        return True
+
+    def finish(saturated: bool) -> SaturationResult:
+        steps = len(comps) - initial
+        return SaturationResult(c if steps == 0 else cs.join_raw(comps), steps, saturated)
+
+    done = 0  # comps[done:] is the worklist
+    while True:
+        while done < len(comps):
+            alt = comps[done]
+            done += 1
+            for rule in rules:
+                for m in find_matches(rule, alt):
+                    if not add(m):
+                        return finish(False)
+        if len(comps) < 2 or not boxed:
+            return finish(True)
+        joined = cs.join_raw(comps)
+        top = _top_box(joined)
+        for rule in boxed:
+            for m in find_matches(rule, joined):
+                if top in m.hom.emap.values() and not add(m):
+                    return finish(False)
+        if done == len(comps):
+            return finish(True)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,9 @@
 
 These deliberately avoid the library's own search code wherever practical:
 homomorphism enumeration is a direct backtracking search over raw maps, the
-complement oracle enumerates every candidate subgraph of the host, and the
-equational oracle works on term syntax only.
+complement oracle enumerates every candidate subgraph of the host, the
+equational oracle works on term syntax only, and the saturation oracle is
+the restart-after-every-addition loop that the worklist replaced.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from typing import Iterator, Optional
 from megraph.core import EHypergraph, EHomomorphism, Element
 from megraph.cospan import ExtendedCospan, PushoutPreconditionError, pushout
 from megraph import cospan as cs
-from megraph.rewrite import Match, boundary_complement
+from megraph.engine import SaturationResult, Strategy, components
+from megraph.rewrite import Match, apply, boundary_complement, find_matches
 
 
 # ---------------------------------------------------------------------------
@@ -290,3 +292,40 @@ def chain_signature(state: tuple) -> frozenset:
         return tuple(blocks)
 
     return frozenset(canon(c) for c in state)
+
+
+# ---------------------------------------------------------------------------
+# Saturation oracle
+# ---------------------------------------------------------------------------
+
+
+def saturate_oracle(c: ExtendedCospan, s: Strategy) -> SaturationResult:
+    """Saturation by restarting after every added alternative: rebuild the
+    joined diagram, match every rule against all of it, and add the first
+    new component of the first result that has one."""
+    rules = list(s.rules)
+    if s.bidirectional:
+        rules += [r.reversed() for r in s.rules]
+    comps = components(c)
+    steps = 0
+    while steps < s.max_steps:
+        cur = comps[0] if len(comps) == 1 else cs.join(comps)
+        added = False
+        for rule in rules:
+            for m in find_matches(rule, cur):
+                cand = apply(m)
+                for new in components(cand):
+                    if all(cs.iso(new, old) is None for old in comps):
+                        comps.append(new)
+                        steps += 1
+                        added = True
+                        break
+                if added:
+                    break
+            if added:
+                break
+        if not added:
+            result = c if steps == 0 else cur
+            return SaturationResult(result, steps, True)
+    result = c if steps == 0 else (comps[0] if len(comps) == 1 else cs.join(comps))
+    return SaturationResult(result, steps, False)

@@ -1,6 +1,7 @@
 """End-to-end tests of the command-line interface."""
 
 import json
+import random
 
 import pytest
 from click.testing import CliRunner
@@ -157,6 +158,95 @@ class TestMalformedInput:
         assert res.exit_code == 1
         assert isinstance(res.exception, SystemExit)
         assert res.stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# Fuzz: mutated documents through every command that reads a diagram
+# ---------------------------------------------------------------------------
+
+FUZZ_BASES = ["f ; g", "h ; (f + g)", "(f ; g) + h", "s ; k", "(f + g) * h",
+              "s ; ((f ; g) + (g ; f)) * h ; k"]
+
+
+def _mutate(doc, rng):
+    """One random edit of endpoints, slots, external positions, components,
+    parents or labels; ids may become dangling or repeated."""
+    vs = doc["vertices"] + [max(doc["vertices"]) + 1]
+    es = [ed["id"] for ed in doc["edges"]] + [len(doc["edges"])]
+    what = rng.choice(["endpoint", "slot", "external", "component", "parent",
+                       "label"])
+    if what == "endpoint":
+        ed = rng.choice(doc["edges"])
+        ports = ed[rng.choice(["sources", "targets"])]
+        if ports and rng.random() < 0.7:
+            ports[rng.randrange(len(ports))] = rng.choice(vs)
+        elif ports and rng.random() < 0.5:
+            ports.pop()
+        else:
+            ports.append(rng.choice(vs))
+    elif what == "slot":
+        slots = doc[rng.choice(["int_in", "int_out"])]
+        if slots and rng.random() < 0.5:
+            slots[rng.randrange(len(slots))] = rng.choice(vs)
+        elif slots and rng.random() < 0.5:
+            slots.pop(rng.randrange(len(slots)))
+        else:
+            slots.append(rng.choice(vs))
+    elif what == "external":
+        ext = doc[rng.choice(["ext_in", "ext_out"])]
+        if ext and rng.random() < 0.7:
+            ext[rng.randrange(len(ext))] = rng.randint(-1, len(ext) + 1)
+        else:
+            ext.append(rng.randint(0, 2))
+    elif what in ("component", "parent") and doc["parents"] and rng.random() < 0.8:
+        rec = rng.choice(doc["parents"])
+        if what == "component":
+            rec["component"] = rng.randint(-1, 2)
+        elif rng.random() < 0.5:
+            rec["parent"] = rng.choice(es)
+        else:
+            doc["parents"].remove(rec)
+    elif what in ("component", "parent"):
+        kind = rng.choice("ve")
+        child = rng.choice(vs if kind == "v" else es)
+        doc["parents"].append({"child": f"{kind}{child}", "parent": rng.choice(es),
+                               "component": rng.randint(0, 1)})
+    else:
+        rng.choice(doc["edges"])["label"] = rng.choice(["f", "g", "k", "s", "#box", "zz"])
+
+
+def fuzz_documents(seed, count):
+    rng = random.Random(seed)
+    for i in range(count):
+        doc = json.loads(dumps_cospan(interp(FUZZ_BASES[i % len(FUZZ_BASES)])))
+        for _ in range(rng.choice([1, 1, 2])):
+            _mutate(doc, rng)
+        yield json.dumps(doc)
+
+
+class TestFuzzedDocuments:
+    def test_no_traceback_and_exit_0_only_on_valid_input(self, tmp_path, sig):
+        rules = tmp_path / "rules.txt"
+        rules.write_text("swap : f ; g => g ; f\nfh : f => h\n")
+        extra = ["--rules", str(rules), "--sig", sig]
+        commands = {"check": [], "extract": [], "normalize": [],
+                    "saturate": extra + ["--bidirectional"], "rewrite": extra + ["--all"]}
+        valid = 0
+        for i, text in enumerate(fuzz_documents(seed=3, count=100)):
+            path = tmp_path / f"doc{i}.json"
+            path.write_text(text)
+            codes = {}
+            for command, options in commands.items():
+                res = RUNNER.invoke(main, [command, str(path), *options])
+                where = f"{command} on document {i}: {text}"
+                assert res.exit_code in (0, 1, 2), where
+                assert res.exception is None or isinstance(res.exception, SystemExit), where
+                assert "Traceback" not in res.output, where
+                codes[command] = res.exit_code
+            if codes["check"] != 0:
+                assert 0 not in codes.values(), (codes, text)
+            valid += codes["check"] == 0
+        assert 0 < valid < 100
 
 
 class TestBareWires:

@@ -1,5 +1,7 @@
 """Unit tests for normalization, saturation, extraction, and DOT export."""
 
+import time
+
 import pytest
 
 from megraph.cospan import identity_cospan, is_mda_well_typed, iso, join_raw
@@ -16,7 +18,7 @@ from megraph.engine import (
     saturate,
 )
 from megraph.rewrite import rule_from_terms
-from megraph.term import interpret, parse, print_term, typecheck
+from megraph.term import interpret, parse, parse_signature, print_term, typecheck
 
 from .fixtures import expected_stage_b
 from .helpers import ARITH, BASIC, interp
@@ -86,6 +88,78 @@ class TestSaturate:
     def test_negative_budget_rejected(self):
         with pytest.raises(EngineError):
             Strategy(max_steps=-1)
+
+
+# Four unary generators, so that two-branch rules such as f + g => h + k type.
+UNARY = parse_signature("f: 1 -> 1\ng: 1 -> 1\nh: 1 -> 1\nk: 1 -> 1\n")
+SWAP = parse_signature("f0: 1 -> 1\nf1: 1 -> 1\n")
+
+
+def saturate_terms(lhs, rhs, host, sig=UNARY, **strategy):
+    rule = rule_from_terms("r", parse(lhs), parse(rhs), sig)
+    return saturate(interpret(parse(host), sig), Strategy(rules=[rule], **strategy))
+
+
+def same_alternatives(c, texts, sig=UNARY):
+    """``c``'s alternatives are, up to iso and order, the given terms."""
+    parts = components(c)
+    wanted = [interpret(parse(t), sig) for t in texts]
+    return len(parts) == len(wanted) and all(
+        any(iso(p, w) is not None for p in parts) for w in wanted
+    )
+
+
+class TestSaturateWorklist:
+    def test_every_new_component_of_a_result_is_added(self):
+        res = saturate_terms("f + g", "h + k", "f + g")
+        assert res.saturated and res.steps == 2
+        assert same_alternatives(res.result, ["f", "g", "h", "k"])
+
+    def test_box_right_hand_side_splits_into_alternatives(self):
+        res = saturate_terms("f", "f + h", "f + g", max_steps=6)
+        assert res.saturated and res.steps == 1
+        assert same_alternatives(res.result, ["f", "g", "h"])
+
+    def test_fixpoint_reached_on_the_last_allowed_step(self):
+        res = saturate_terms("f", "g", "f", max_steps=1)
+        assert res.saturated and res.steps == 1
+        assert same_alternatives(res.result, ["f", "g"])
+
+    def test_zero_budget_without_a_match_is_saturated(self):
+        res = saturate_terms("f", "g", "h", max_steps=0)
+        assert res.saturated and res.steps == 0
+
+    def test_budget_stops_before_a_new_alternative(self):
+        res = saturate_terms("f", "g", "f", max_steps=0)
+        assert not res.saturated and res.steps == 0
+        res = saturate_terms("f ; g", "g ; f", "f ; g ; g", max_steps=1)
+        assert not res.saturated and res.steps == 1
+        assert same_alternatives(res.result, ["f ; g ; g", "g ; f ; g"])
+
+    def test_top_box_match_resumes_the_worklist(self):
+        rules = [rule_from_terms("join", parse("f + g"), parse("h"), UNARY),
+                 rule_from_terms("step", parse("h"), parse("k"), UNARY)]
+        res = saturate(interp("f + g", UNARY), Strategy(rules=rules))
+        assert res.saturated and res.steps == 2
+        assert same_alternatives(res.result, ["f", "g", "h", "k"])
+
+    def test_duplicate_alternatives_are_stored_once(self):
+        c = join_raw([interp("f"), interp("f")])
+        res = saturate(c, Strategy(rules=[]))
+        assert res.saturated and res.steps == 0 and res.result is c
+        rule = rule_from_terms("r", parse("f"), parse("g"), BASIC)
+        res = saturate(c, Strategy(rules=[rule]))
+        assert res.saturated and res.steps == 1
+        assert same_alternatives(res.result, ["f", "g"])
+
+    @pytest.mark.parametrize("copies, steps", [(3, 19), (4, 69)])
+    def test_swap_chain_counts(self, copies, steps):
+        t0 = time.perf_counter()
+        res = saturate_terms("f0 ; f1", "f1 ; f0", " ; ".join(["f0 ; f1"] * copies),
+                             sig=SWAP, bidirectional=True)
+        assert time.perf_counter() - t0 < 60
+        assert res.saturated and res.steps == steps
+        assert len(components(res.result)) == steps + 1
 
 
 class TestExtract:

@@ -16,6 +16,7 @@ from megraph.cospan import (
     tensor,
     validate_cospan,
 )
+from megraph.engine import Strategy, _top_box, components, saturate
 from megraph.rewrite import (
     RewriteRule,
     apply,
@@ -26,7 +27,7 @@ from megraph.rewrite import (
 from megraph.term import interpret
 
 from .helpers import BASIC, interp, random_term
-from .oracles import all_homs
+from .oracles import all_homs, saturate_oracle
 
 seeds = st.integers(min_value=0, max_value=10**9)
 widths = st.integers(min_value=1, max_value=3)
@@ -270,3 +271,81 @@ class TestEveryMatchApplies:
             result = apply(m)
             assert validate_cospan(result) == []
             assert is_mda_well_typed(result) == []
+
+
+# ---------------------------------------------------------------------------
+# Worklist saturation against the restart-after-every-addition oracle
+# ---------------------------------------------------------------------------
+
+SATURATION = settings(max_examples=100, deadline=None)
+
+
+def random_host(rng, n):
+    """A random n -> n diagram, sometimes two or three joined alternatives."""
+    parts = [interpret(random_term(rng, n, n, size=rng.randint(1, 3)), BASIC)
+             for _ in range(rng.choice([1, 1, 2, 3]))]
+    return join_raw(parts)
+
+
+def random_rules(rng, n, boxed):
+    """One or two random n -> n rules; with ``boxed``, each side may be two
+    joined alternatives, alone or after a random prefix."""
+
+    def side():
+        t = interpret(random_term(rng, n, n, size=rng.randint(1, 2)), BASIC)
+        if not boxed or rng.random() < 0.4:
+            return t
+        box = join_raw([t, interpret(random_term(rng, n, n, size=1), BASIC)])
+        if rng.random() < 0.5:
+            return box
+        return compose(interpret(random_term(rng, n, n, size=1), BASIC), box)
+
+    return [RewriteRule(f"r{i}", side(), side()) for i in range(rng.choice([1, 2]))]
+
+
+class TestSaturateAgainstOracle:
+    @given(seeds)
+    @SATURATION
+    def test_box_free_rules_agree_with_the_oracle(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice([1, 1, 2])
+        host = random_host(rng, n)
+        s = Strategy(rules=random_rules(rng, n, boxed=False), max_steps=8,
+                     bidirectional=rng.random() < 0.5)
+        expected = saturate_oracle(host, s)
+        if not expected.saturated or expected.steps >= 8:
+            return
+        got = saturate(host, s)
+        assert got.saturated
+        assert got.steps == expected.steps
+        assert iso(got.result, expected.result) is not None
+
+    @given(seeds)
+    @SATURATION
+    def test_rules_with_boxes_reach_a_fixpoint(self, seed):
+        rng = random.Random(seed)
+        n = rng.choice([1, 1, 2])
+        host = random_host(rng, n)
+        s = Strategy(rules=random_rules(rng, n, boxed=True), max_steps=8,
+                     bidirectional=rng.random() < 0.5)
+        res = saturate(host, s)
+        if not res.saturated:
+            return
+        alts = []
+        for p in components(res.result):
+            if all(iso(p, q) is None for q in alts):
+                alts.append(p)
+
+        def stored(m):
+            return all(any(iso(p, q) is not None for q in alts)
+                       for p in components(apply(m)))
+
+        rules = s.rules + [r.reversed() for r in s.rules if s.bidirectional]
+        for rule in rules:
+            for alt in alts:
+                assert all(stored(m) for m in find_matches(rule, alt))
+            if len(alts) > 1:
+                joined = join_raw(alts)
+                top = _top_box(joined)
+                assert all(stored(m) for m in find_matches(rule, joined)
+                           if top in m.hom.emap.values())
