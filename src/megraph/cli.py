@@ -70,11 +70,11 @@ def _violations(c, sig: Optional[Signature] = None) -> list[str]:
     return validate_cospan(c, sig) + is_mda_well_typed(c)
 
 
-def _load_valid_cospan(path: str):
-    """Load a diagram that the library operations can work on; exit 1 listing
-    the violated conditions otherwise."""
+def _load_valid_cospan(path: str, sig: Optional[Signature] = None):
+    """Load a diagram that the library operations can work on (typed by
+    ``sig`` when given); exit 1 listing the violated conditions otherwise."""
     c = _load_cospan(path)
-    report = _violations(c)
+    report = _violations(c, sig)
     if report:
         raise _fail("\n".join([f"{path}: not a well-formed diagram"] + report))
     return c
@@ -137,8 +137,8 @@ def interp(term_text: str, sig_path: str, cartesian: bool) -> None:
 def rewrite(graph: str, rules_path: str, sig_path: str, cartesian: bool,
             mode: str, budget: int) -> None:
     """Apply rewrite rules to a diagram."""
-    c = _load_valid_cospan(graph)
     sig = _load_sig(sig_path, cartesian)
+    c = _load_valid_cospan(graph, sig)
     try:
         rules = parse_rules(_read(rules_path), sig)
     except (EngineError, RuleError, TermSyntaxError, TermTypeError) as exc:
@@ -169,8 +169,8 @@ def rewrite(graph: str, rules_path: str, sig_path: str, cartesian: bool,
 def saturate_cmd(graph: str, rules_path: str, sig_path: str, cartesian: bool,
                  max_steps: int, bidirectional: bool) -> None:
     """Grow the diagram with all rule-derived alternatives."""
-    c = _load_valid_cospan(graph)
     sig = _load_sig(sig_path, cartesian)
+    c = _load_valid_cospan(graph, sig)
     try:
         rules = parse_rules(_read(rules_path), sig)
         res = saturate(c, Strategy(rules=rules, max_steps=max_steps,

@@ -139,16 +139,27 @@ class EHypergraph:
         return e
 
     def copy(self) -> "EHypergraph":
+        return self.without(set(), set())
+
+    def without(self, rm_v: set[int], rm_e: set[int]) -> "EHypergraph":
+        """A copy keeping ids, minus the given vertices and edges.  Elements
+        nested in a removed box become top level."""
         g = EHypergraph()
-        g.vertices = list(self.vertices)
-        g.edges = list(self.edges)
-        g.source = dict(self.source)
-        g.target = dict(self.target)
-        g.label = dict(self.label)
-        g.vparent = dict(self.vparent)
-        g.eparent = dict(self.eparent)
-        g.vcomp = dict(self.vcomp)
-        g.ecomp = dict(self.ecomp)
+        g.vertices = [v for v in self.vertices if v not in rm_v]
+        g.edges = [e for e in self.edges if e not in rm_e]
+        g.source = {e: self.source[e] for e in g.edges}
+        g.target = {e: self.target[e] for e in g.edges}
+        g.label = {e: self.label[e] for e in g.edges}
+        g.vparent = {v: p for v, p in self.vparent.items() if v not in rm_v and p not in rm_e}
+        g.eparent = {e: p for e, p in self.eparent.items() if e not in rm_e and p not in rm_e}
+        g.vcomp = {
+            v: c for v, c in self.vcomp.items()
+            if v not in rm_v and self.vparent.get(v) not in rm_e
+        }
+        g.ecomp = {
+            e: c for e, c in self.ecomp.items()
+            if e not in rm_e and self.eparent.get(e) not in rm_e
+        }
         g._next_v = self._next_v
         g._next_e = self._next_e
         return g
@@ -184,6 +195,14 @@ class EHypergraph:
         out.extend(("e", e) for e in self.edges if self.eparent.get(e) == box)
         return out
 
+    def alternatives(self, box: int) -> dict[int, list[Element]]:
+        """The children of a box grouped by consistency component, components
+        ascending; each group lists its vertices, then its edges."""
+        groups: dict[int, list[Element]] = {}
+        for el in self.children(box):
+            groups.setdefault(self.component_of(el), []).append(el)
+        return dict(sorted(groups.items()))
+
     def ancestors(self, elem: Element) -> list[int]:
         """Chain of enclosing box ids, innermost first."""
         chain: list[int] = []
@@ -208,6 +227,40 @@ class EHypergraph:
             f"EHypergraph(|V|={len(self.vertices)}, |E|={len(self.edges)}, "
             f"boxes={sum(1 for e in self.edges if self.label[e] is None)})"
         )
+
+
+def copy_into(
+    dst: EHypergraph,
+    src: EHypergraph,
+    keep: Optional[set[Element]] = None,
+    parent: Optional[int] = None,
+    component: Optional[int] = None,
+) -> tuple[dict[int, int], dict[int, int]]:
+    """Add the elements of ``src`` (only those in ``keep`` when given) to
+    ``dst`` under fresh ids, in ``src`` order; return the (vertex map, edge
+    map).  An element nested in a copied box stays nested in its copy; every
+    other copied element is placed at ``(parent, component)``, top level by
+    default."""
+    vmap = {v: dst.add_vertex() for v in src.vertices if keep is None or ("v", v) in keep}
+    emap: dict[int, int] = {}
+    for e in src.edges:
+        if keep is None or ("e", e) in keep:
+            emap[e] = dst.add_edge(
+                src.label[e],
+                [vmap[v] for v in src.source[e]],
+                [vmap[v] for v in src.target[e]],
+            )
+    for old_parent, old_comp, new_parent, new_comp, idmap in (
+        (src.vparent, src.vcomp, dst.vparent, dst.vcomp, vmap),
+        (src.eparent, src.ecomp, dst.eparent, dst.ecomp, emap),
+    ):
+        for x, nx in idmap.items():
+            p = old_parent.get(x)
+            if p in emap:
+                new_parent[nx], new_comp[nx] = emap[p], old_comp[x]
+            elif parent is not None:
+                new_parent[nx], new_comp[nx] = parent, component
+    return vmap, emap
 
 
 def validate(g: EHypergraph, sig: Optional[Signature] = None) -> list[str]:

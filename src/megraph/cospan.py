@@ -19,6 +19,7 @@ from .core import (
     Element,
     Signature,
     connected_components,
+    copy_into,
     degrees,
     embeddings,
     is_acyclic,
@@ -156,29 +157,14 @@ def _box_typing(c: ExtendedCospan) -> list[str]:
     for e in g.edges:
         if g.label[e] is not None:
             continue
-        comps: set[int] = set()
-        box_in: dict[int, int] = {}
-        box_out: dict[int, int] = {}
-        for kind, i in g.children(e):
-            comp = g.vcomp[i] if kind == "v" else g.ecomp[i]
-            comps.add(comp)
-            if kind == "v":
-                if i in strict_in:
-                    box_in[comp] = box_in.get(comp, 0) + 1
-                if i in strict_out:
-                    box_out[comp] = box_out.get(comp, 0) + 1
-        want_in, want_out = len(g.source[e]), len(g.target[e])
-        for comp in sorted(comps):
-            if box_in.get(comp, 0) != want_in:
-                report.append(
-                    f"box {e} component {comp}: {box_in.get(comp, 0)} inputs, "
-                    f"expected {want_in}"
-                )
-            if box_out.get(comp, 0) != want_out:
-                report.append(
-                    f"box {e} component {comp}: {box_out.get(comp, 0)} outputs, "
-                    f"expected {want_out}"
-                )
+        sides = (("inputs", strict_in, len(g.source[e])),
+                 ("outputs", strict_out, len(g.target[e])))
+        for comp, members in g.alternatives(e).items():
+            vs = [i for k, i in members if k == "v"]
+            for side, slots, want in sides:
+                got = sum(v in slots for v in vs)
+                if got != want:
+                    report.append(f"box {e} component {comp}: {got} {side}, expected {want}")
     return report
 
 
@@ -576,31 +562,8 @@ def join_raw(parts: Sequence[ExtendedCospan]) -> ExtendedCospan:
     int_in: list[int] = list(box_in)
     int_out: list[int] = list(box_out)
     for comp, part in enumerate(parts):
-        pc = part.carrier
-        vmap: dict[int, int] = {}
-        emap: dict[int, int] = {}
-        for v in pc.vertices:
-            vmap[v] = g.add_vertex()
-        for e in pc.edges:
-            emap[e] = g.add_edge(
-                pc.label[e],
-                [vmap[v] for v in pc.source[e]],
-                [vmap[v] for v in pc.target[e]],
-            )
-        # Top-level part elements become children of the fresh box; nested
-        # ones keep their (remapped) placement.
-        for v in pc.vertices:
-            if pc.vparent.get(v) is None:
-                g.vparent[vmap[v]], g.vcomp[vmap[v]] = box, comp
-            else:
-                g.vparent[vmap[v]] = emap[pc.vparent[v]]
-                g.vcomp[vmap[v]] = pc.vcomp[v]
-        for e in pc.edges:
-            if pc.eparent.get(e) is None:
-                g.eparent[emap[e]], g.ecomp[emap[e]] = box, comp
-            else:
-                g.eparent[emap[e]] = emap[pc.eparent[e]]
-                g.ecomp[emap[e]] = pc.ecomp[e]
+        # Top-level part elements become children of the fresh box.
+        vmap, _ = copy_into(g, part.carrier, parent=box, component=comp)
         int_in.extend(vmap[v] for v in part.int_in)
         int_out.extend(vmap[v] for v in part.int_out)
     return ExtendedCospan(

@@ -17,6 +17,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .core import (
+    COPY,
+    DISCARD,
     EHypergraph,
     Element,
     Signature,
@@ -216,10 +218,6 @@ def egraph_of_term_tree(tree) -> tuple[EGraph, int]:
 # ---------------------------------------------------------------------------
 # Translation to cospans
 # ---------------------------------------------------------------------------
-
-COPY = "dup"
-DISCARD = "del"
-
 
 def _fanout(
     g: EHypergraph, src: int, k: int, elems: Optional[list[Element]] = None
@@ -505,10 +503,13 @@ def _merge_congruent_edges_step(
     return None
 
 
+RESHARE_BUDGET = 64
+
+
 def _reshare_fixpoint(
-    steps: list[ReplayStep], host: ExtendedCospan, sig: Signature, budget: int = 64
+    steps: list[ReplayStep], host: ExtendedCospan, sig: Signature
 ) -> ExtendedCospan:
-    for _ in range(budget):
+    for _ in range(RESHARE_BUDGET):
         nxt = _share_producers_step(steps, host, sig[COPY])
         if nxt is None:
             nxt = _merge_congruent_edges_step(steps, host, sig)
@@ -582,10 +583,6 @@ def _replay_leaf_merge(
     return _reshare_fixpoint(steps, cur, sig)
 
 
-def _all_elements(g: EHypergraph) -> set[Element]:
-    return {("v", v) for v in g.vertices} | {("e", e) for e in g.edges}
-
-
 def _convex_hull(g: EHypergraph, elements: set[Element]) -> set[Element]:
     """Grow an element set until every directed path between its top-level
     vertices stays inside it (adding whole hierarchical edges as needed)."""
@@ -626,24 +623,51 @@ def _region_interface(g: EHypergraph, elements: set[Element]) -> tuple[list[int]
     return ins, outs
 
 
+def _mapped(n: ENode, cmap: dict[int, int]) -> ENode:
+    return ENode(n.head, tuple(cmap[ch] for ch in n.children))
+
+
+def _class_map(before: EGraph, after: EGraph) -> dict[int, int]:
+    """Each class of ``before`` mapped to the class of ``after`` holding its
+    nodes, bottom-up by congruence: a node is looked up in ``after``'s
+    hashcons with its children already mapped.  Class ids are never looked
+    up in ``after`` directly, since a document lists only canonical classes
+    and a class merged away is missing from it."""
+    cmap: dict[int, int] = {}
+
+    def go(c: int) -> int:
+        if c not in cmap:
+            found = {
+                after.hashcons.get(ENode(n.head, tuple(go(ch) for ch in n.children)))
+                for n in before.nodes(c)
+            }
+            if None in found or len({after.find(a) for a in found}) != 1:
+                raise ReplayIncomplete(f"class {c} has no counterpart after the rewrite")
+            cmap[c] = after.find(found.pop())
+        return cmap[c]
+
+    for c in before.class_ids():
+        go(c)
+    return cmap
+
+
 def _mapped_uses(
-    eg: EGraph, after: EGraph
+    eg: EGraph, cmap: dict[int, int]
 ) -> dict[int, list[tuple[int, ENode, int]]]:
     """Occurrence list per class, with consumers expressed in the vocabulary
-    of ``after`` (class ids and canonical nodes) so the two graphs compare."""
+    of the graph ``cmap`` maps into, so that two graphs compare."""
     out: dict[int, list[tuple[int, ENode, int]]] = {}
     for c in eg.class_ids():
         for n in eg.nodes(c):
-            mn = after.canonicalize(n)
+            mn = _mapped(n, cmap)
             for si, ch in enumerate(n.children):
-                out.setdefault(after.find(eg.find(ch)), []).append(
-                    (after.find(c), mn, si)
-                )
+                out.setdefault(cmap[ch], []).append((cmap[c], mn, si))
     return out
 
 
 def _replay_diff_composite(
-    steps: list[ReplayStep], before: EGraph, after: EGraph, sig: Signature
+    steps: list[ReplayStep], before: EGraph, after: EGraph, sig: Signature,
+    cmap: dict[int, int],
 ) -> ExtendedCospan:
     """One composite step rewriting exactly the region of the rendered graph
     that the e-graph transformation touched, convex-closed in the host."""
@@ -652,18 +676,18 @@ def _replay_diff_composite(
     gb, ga = rb.carrier, ra.carrier
 
     # Element correspondence for classes whose rendering is unaffected.
-    ub = _mapped_uses(before, after)
-    ua = _mapped_uses(after, after)
+    ub = _mapped_uses(before, cmap)
+    ua = _mapped_uses(after, {c: c for c in after.class_ids()})
     groups: dict[int, list[int]] = {}
     for b in before.class_ids():
-        groups.setdefault(after.find(b), []).append(b)
+        groups.setdefault(cmap[b], []).append(b)
     m: dict[Element, Element] = {}
     for gamma in after.class_ids():
         members = groups.get(gamma, [])
         if len(members) != 1:
             continue
         b = members[0]
-        if [after.canonicalize(n) for n in before.nodes(b)] != after.nodes(gamma):
+        if [_mapped(n, cmap) for n in before.nodes(b)] != after.nodes(gamma):
             continue
         if ub.get(gamma, []) != ua.get(gamma, []):
             continue
@@ -673,14 +697,14 @@ def _replay_diff_composite(
         m.update(zip(eb, ea))
     m_image = set(m.values())
 
-    region_b = _all_elements(gb) - set(m)
+    region_b = set(gb.elements()) - set(m)
     region_b |= down_closure(
         gb, [i for k, i in region_b if k == "e" and gb.eparent.get(i) is None]
     )
     region_b = _convex_hull(gb, region_b)
     if not any(k == "e" for k, _ in region_b):
         raise ReplayIncomplete("no changed region found")
-    region_a = (_all_elements(ga) - m_image) | {
+    region_a = (set(ga.elements()) - m_image) | {
         m[el] for el in region_b if el in m
     }
     region_a |= down_closure(
@@ -709,7 +733,7 @@ def _replay_diff_composite(
         c = out_class_b.get(w)
         if c is None:
             raise ReplayIncomplete("boundary output wire has no counterpart")
-        return la.out[after.find(c)]
+        return la.out[cmap[c]]
 
     ins_a = [map_in(w) for w in ins_b]
     outs_a = [map_out(w) for w in outs_b]
@@ -743,16 +767,15 @@ def replay(
     if cs.iso(cur, target) is not None:
         return ReplayResult([], cur)
 
-    before_ids = before.class_ids()
+    cmap = _class_map(before, after)
     groups: dict[int, list[int]] = {}
-    for b in before_ids:
-        groups.setdefault(after.find(b), []).append(b)
+    for b in before.class_ids():
+        groups.setdefault(cmap[b], []).append(b)
     changed = [
         gamma
         for gamma, members in groups.items()
         if len(members) > 1
-        or {after.canonicalize(n) for n in before.nodes(members[0])}
-        != set(after.nodes(gamma))
+        or {_mapped(n, cmap) for n in before.nodes(members[0])} != set(after.nodes(gamma))
     ]
     fresh = [c for c in after.class_ids() if c not in groups]
 
@@ -764,7 +787,7 @@ def replay(
         # absorbed by the sharing fixpoint at the end of the recipe.
         cur = _replay_leaf_merge(steps, cur, rule[0], rule[1], sig)
     else:
-        cur = _replay_diff_composite(steps, before, after, sig)
+        cur = _replay_diff_composite(steps, before, after, sig, cmap)
 
     if cs.iso(cur, target) is None:
         raise ReplayIncomplete("replayed result differs from the target graph")

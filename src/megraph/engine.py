@@ -22,7 +22,6 @@ from . import term as tm
 from .rewrite import (
     Match,
     RewriteRule,
-    _box_components,
     _reordered,
     apply,
     component_cospan,
@@ -47,13 +46,17 @@ class Strategy:
             raise EngineError("max_steps must be non-negative")
 
 
+DEFAULT_COST = Fraction(1)
+
+
 @dataclass
 class CostModel:
+    """Cost per generator label; a label with no entry costs ``DEFAULT_COST``."""
+
     costs: dict[str, Fraction] = field(default_factory=dict)
-    default: Fraction = Fraction(1)
 
     def cost(self, label: str) -> Fraction:
-        c = self.costs.get(label, self.default)
+        c = self.costs.get(label, DEFAULT_COST)
         if c < 0:
             raise EngineError(f"negative cost for {label!r}")
         return c
@@ -132,7 +135,7 @@ def _canonical_join(c: ExtendedCospan) -> ExtendedCospan:
     return cs.join(
         [
             _reordered(component_cospan(c, box, k), src, tgt, ext_in, ext_out)
-            for k in _box_components(g, box)
+            for k in g.alternatives(box)
         ]
     )
 
@@ -142,7 +145,7 @@ def components(c: ExtendedCospan) -> list[ExtendedCospan]:
     box = _top_box(c)
     if box is None:
         return [c]
-    return [component_cospan(c, box, k) for k in _box_components(c.carrier, box)]
+    return [component_cospan(c, box, k) for k in c.carrier.alternatives(box)]
 
 
 # ---------------------------------------------------------------------------
@@ -224,28 +227,21 @@ def saturate(c: ExtendedCospan, s: Strategy) -> SaturationResult:
 # ---------------------------------------------------------------------------
 
 
-def _edge_cost(c: ExtendedCospan, e: int, m: CostModel) -> Fraction:
+def _alternative_costs(c: ExtendedCospan, box: int, m: CostModel) -> dict[int, Fraction]:
+    """The cost of each alternative of a box: the sum over its edges, where a
+    nested box costs its cheapest alternative.  An alternative with no edges
+    (a bare wire) costs 0."""
     g = c.carrier
-    if not g.is_box(e):
+
+    def edge_cost(e: int) -> Fraction:
+        if g.is_box(e):
+            return min(_alternative_costs(c, e, m).values())
         return m.cost(g.label[e])
-    by_comp: dict[int, Fraction] = {}
-    for k, i in g.children(e):
-        if k != "e":
-            continue
-        comp = g.ecomp[i]
-        by_comp[comp] = by_comp.get(comp, Fraction(0)) + _edge_cost(c, i, m)
-    return min(by_comp.values())
 
-
-def _best_component(c: ExtendedCospan, box: int, m: CostModel) -> int:
-    g = c.carrier
-    by_comp: dict[int, Fraction] = {}
-    for k, i in g.children(box):
-        comp = g.vcomp[i] if k == "v" else g.ecomp[i]
-        by_comp.setdefault(comp, Fraction(0))
-        if k == "e":
-            by_comp[comp] += _edge_cost(c, i, m)
-    return min(sorted(by_comp), key=lambda k: by_comp[k])
+    return {
+        comp: sum((edge_cost(i) for k, i in members if k == "e"), Fraction(0))
+        for comp, members in g.alternatives(box).items()
+    }
 
 
 def prune(c: ExtendedCospan, m: Optional[CostModel] = None) -> ExtendedCospan:
@@ -260,7 +256,8 @@ def prune(c: ExtendedCospan, m: Optional[CostModel] = None) -> ExtendedCospan:
         if not boxes:
             return cur
         box = boxes[0]
-        best = _best_component(cur, box, m)
+        costs = _alternative_costs(cur, box, m)
+        best = min(costs, key=costs.get)
         lhs, hom = extract_subdiagram(
             cur, down_closure(g, [box]), list(g.source[box]), list(g.target[box])
         )
@@ -365,13 +362,13 @@ def export_dot(c: ExtendedCospan) -> str:
         out.append(f'{indent}  style=dashed;')
         out.append(f'{indent}  label="e{e}";')
         out.append(f"{indent}  a{e} [shape=point, style=invis];")
-        for comp in _box_components(g, e):
+        for comp, members in g.alternatives(e).items():
             out.append(f"{indent}  subgraph cluster_e{e}_c{comp} {{")
             out.append(f"{indent}    style=dashed;")
             out.append(f'{indent}    label="alt {comp}";')
-            for v in sorted(v for v in g.vertices if g.vparent.get(v) == e and g.vcomp[v] == comp):
+            for v in sorted(i for k, i in members if k == "v"):
                 out.append(vertex_line(v, indent + "    "))
-            for ch in sorted(i for i in g.edges if g.eparent.get(i) == e and g.ecomp[i] == comp):
+            for ch in sorted(i for k, i in members if k == "e"):
                 if g.is_box(ch):
                     emit_box(ch, indent + "    ")
                 else:

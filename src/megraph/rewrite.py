@@ -22,6 +22,7 @@ from .core import (
     Element,
     Signature,
     connected_components,
+    copy_into,
     down_closure,
     embeddings,
     is_convex,
@@ -225,22 +226,6 @@ class Complement:
         )
 
 
-def _delete(g: EHypergraph, rm_v: set[int], rm_e: set[int]) -> EHypergraph:
-    out = EHypergraph()
-    out.vertices = [v for v in g.vertices if v not in rm_v]
-    out.edges = [e for e in g.edges if e not in rm_e]
-    out.source = {e: g.source[e] for e in out.edges}
-    out.target = {e: g.target[e] for e in out.edges}
-    out.label = {e: g.label[e] for e in out.edges}
-    out.vparent = {v: p for v, p in g.vparent.items() if v not in rm_v and p not in rm_e}
-    out.eparent = {e: p for e, p in g.eparent.items() if e not in rm_e and p not in rm_e}
-    out.vcomp = {v: c for v, c in g.vcomp.items() if v in out.vparent}
-    out.ecomp = {e: c for e, c in g.ecomp.items() if e in out.eparent}
-    out._next_v = g._next_v
-    out._next_e = g._next_e
-    return out
-
-
 def boundary_complement(m: Match) -> Complement:
     hg = m.host.carrier
     gi, go = _glue_vertices(m)
@@ -262,7 +247,7 @@ def boundary_complement(m: Match) -> Complement:
     for v in glue:
         if hg.vparent.get(v) in removed_e:
             raise NoComplement(1, f"glue vertex {v} would lose its box")
-    graph = _delete(hg, removed_v, removed_e)
+    graph = hg.without(removed_v, removed_e)
     # Condition (4): interface images uniformly placed in the complement too.
     if not _interface_images_admissible(graph, glue):
         raise NoComplement(4, "interface images not uniformly placed in complement")
@@ -365,47 +350,14 @@ def extract_subdiagram(
     order.  Returns the cospan and the embedding back into the host carrier.
     """
     hg = host.carrier
-    edge_ids = {i for k, i in elements if k == "e"}
     g = EHypergraph()
-    vmap: dict[int, int] = {}
-    emap: dict[int, int] = {}
-    for v in hg.vertices:
-        if ("v", v) in elements:
-            vmap[v] = g.add_vertex()
-    for e in hg.edges:
-        if ("e", e) in elements:
-            emap[e] = g.add_edge(
-                hg.label[e],
-                [vmap[v] for v in hg.source[e]],
-                [vmap[v] for v in hg.target[e]],
-            )
-    for v, nv in vmap.items():
-        p = hg.vparent.get(v)
-        if p is not None and p in edge_ids:
-            g.vparent[nv] = emap[p]
-            g.vcomp[nv] = hg.vcomp[v]
-    for e, ne in emap.items():
-        p = hg.eparent.get(e)
-        if p is not None and p in edge_ids:
-            g.eparent[ne] = emap[p]
-            g.ecomp[ne] = hg.ecomp[e]
+    vmap, emap = copy_into(g, hg, keep=elements)
 
-    consumed: set[int] = set()
-    produced: set[int] = set()
-    for e in edge_ids:
-        consumed.update(hg.source[e])
-        produced.update(hg.target[e])
-    host_in_order = {v: p for p, v in enumerate(host.int_in)}
-    host_out_order = {v: p for p, v in enumerate(host.int_out)}
-
-    def dangling(side: str) -> list[int]:
-        incident = produced if side == "in" else consumed
-        order = host_in_order if side == "in" else host_out_order
-        vs = [v for v in vmap if v not in incident]
-        return sorted(vs, key=lambda v: (order.get(v, len(order)), v))
-
-    strict_in = [v for v in dangling("in") if v not in set(ext_in_vs)]
-    strict_out = [v for v in dangling("out") if v not in set(ext_out_vs)]
+    # Wires nothing inside produces (consumes) are inputs (outputs).
+    not_in = {v for e in emap for v in hg.target[e]} | set(ext_in_vs)
+    not_out = {v for e in emap for v in hg.source[e]} | set(ext_out_vs)
+    strict_in = [v for v in _host_ordered(host, list(vmap), "in") if v not in not_in]
+    strict_out = [v for v in _host_ordered(host, list(vmap), "out") if v not in not_out]
     int_in = tuple(vmap[v] for v in list(ext_in_vs) + strict_in)
     int_out = tuple(vmap[v] for v in list(ext_out_vs) + strict_out)
     cospan = ExtendedCospan(
@@ -427,33 +379,13 @@ def component_cospan(host: ExtendedCospan, box: int, comp: int) -> ExtendedCospa
     which positionally matches the box's source/target order.
     """
     hg = host.carrier
-    seeds = [
-        i
-        for k, i in hg.children(box)
-        if k == "e" and hg.ecomp[i] == comp
-    ]
-    elements = down_closure(hg, seeds)
-    for k, i in hg.children(box):
-        if k == "v" and hg.vcomp[i] == comp:
-            elements.add(("v", i))
-    host_in_order = {v: p for p, v in enumerate(host.int_in)}
-    host_out_order = {v: p for p, v in enumerate(host.int_out)}
-    ins = sorted(
-        (
-            i
-            for k, i in hg.children(box)
-            if k == "v" and hg.vcomp[i] == comp and i in set(host.int_in)
-        ),
-        key=lambda v: host_in_order[v],
-    )
-    outs = sorted(
-        (
-            i
-            for k, i in hg.children(box)
-            if k == "v" and hg.vcomp[i] == comp and i in set(host.int_out)
-        ),
-        key=lambda v: host_out_order[v],
-    )
+    members = hg.alternatives(box)[comp]
+    elements = down_closure(hg, [i for k, i in members if k == "e"])
+    vs = [i for k, i in members if k == "v"]
+    elements.update(("v", v) for v in vs)
+    host_in, host_out = set(host.int_in), set(host.int_out)
+    ins = _host_ordered(host, [v for v in vs if v in host_in], "in")
+    outs = _host_ordered(host, [v for v in vs if v in host_out], "out")
     cospan, _ = extract_subdiagram(host, elements, ins, outs)
     return cospan
 
@@ -479,11 +411,6 @@ def _wiring(n: int, out_of: Sequence[int]) -> ExtendedCospan:
         tuple(range(n)),
         tuple(range(len(out_of))),
     )
-
-
-def _box_components(g: EHypergraph, box: int) -> list[int]:
-    """The component indices in use inside a box, ascending."""
-    return sorted({g.component_of(el) for el in g.children(box)})
 
 
 def _box_instances(host: ExtendedCospan) -> list[int]:
@@ -558,7 +485,7 @@ def _seq_dist_instance(
     # Standalone cospans for the context edge and each component.
     e_elements = down_closure(hg, [e])
     ectx, _ = extract_subdiagram(host, e_elements, list(hg.source[e]), list(hg.target[e]))
-    comps = [component_cospan(host, box, c) for c in _box_components(hg, box)]
+    comps = [component_cospan(host, box, c) for c in hg.alternatives(box)]
     parts = []
     for d in comps:
         if direction == "L":
@@ -600,7 +527,7 @@ def _tens_dist_instance(
     ext_in = _host_ordered(host, raw_in, "in")
     ext_out = _host_ordered(host, raw_out, "out")
     lhs, hom = extract_subdiagram(host, elements, ext_in, ext_out)
-    comps = [component_cospan(host, box, c) for c in _box_components(hg, box)]
+    comps = [component_cospan(host, box, c) for c in hg.alternatives(box)]
     rhs = join_raw(
         [_reordered(tensor(ectx, d), raw_in, raw_out, ext_in, ext_out) for d in comps]
     )
@@ -613,23 +540,17 @@ def _flatten_instance(
     """Splice a component that consists of exactly one box into its parent."""
     hg = host.carrier
     comp = hg.ecomp[inner]
-    comp_elems = {
-        el
-        for el in hg.children(outer)
-        if (hg.vcomp[el[1]] if el[0] == "v" else hg.ecomp[el[1]]) == comp
-    }
-    if comp_elems != {("e", inner)} | {("v", v) for v in hg.endpoints(inner)}:
+    alternatives = hg.alternatives(outer)
+    if set(alternatives[comp]) != {("e", inner)} | {("v", v) for v in hg.endpoints(inner)}:
         return None
     elements = down_closure(hg, [outer])
     lhs, hom = extract_subdiagram(
         host, elements, list(hg.source[outer]), list(hg.target[outer])
     )
     parts = []
-    for c in _box_components(hg, outer):
+    for c in alternatives:
         if c == comp:
-            parts.extend(
-                component_cospan(host, inner, d) for d in _box_components(hg, inner)
-            )
+            parts.extend(component_cospan(host, inner, d) for d in hg.alternatives(inner))
         else:
             parts.append(component_cospan(host, outer, c))
     rhs = join_raw(parts)
@@ -641,7 +562,7 @@ def _idem_instances(
 ) -> list[tuple[StructuralSchema, Match]]:
     """Drop a duplicate component, or unbox a two-component box of duplicates."""
     hg = host.carrier
-    comps = _box_components(hg, box)
+    comps = list(hg.alternatives(box))
     dup: Optional[tuple[int, int]] = None
     parts = {c: component_cospan(host, box, c) for c in comps}
     for i, c1 in enumerate(comps):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from .core import EHypergraph
+from .core import EHypergraph, copy_into
 from .cospan import ExtendedCospan
 from .egraph import EGraph, ENode
 
@@ -123,24 +123,8 @@ def cospan_from_doc(doc: dict[str, Any]) -> ExtendedCospan:
 
 def canonical_renumber(c: ExtendedCospan) -> ExtendedCospan:
     """Rebuild with vertex/edge ids 0..n-1 in allocation order."""
-    g = c.carrier
     ng = EHypergraph()
-    vmap = {v: ng.add_vertex() for v in g.vertices}
-    emap = {}
-    for e in g.edges:
-        emap[e] = ng.add_edge(
-            g.label[e],
-            [vmap[v] for v in g.source[e]],
-            [vmap[v] for v in g.target[e]],
-        )
-    for v in g.vertices:
-        if v in g.vparent:
-            ng.vparent[vmap[v]] = emap[g.vparent[v]]
-            ng.vcomp[vmap[v]] = g.vcomp[v]
-    for e in g.edges:
-        if e in g.eparent:
-            ng.eparent[emap[e]] = emap[g.eparent[e]]
-            ng.ecomp[emap[e]] = g.ecomp[e]
+    vmap, _ = copy_into(ng, c.carrier)
     return ExtendedCospan(
         ng,
         tuple(vmap[v] for v in c.int_in),

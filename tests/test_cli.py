@@ -149,7 +149,24 @@ def external_slot_out_of_range(doc):
     doc["ext_in"] = [0, 5]
 
 
+def relabel_second_edge_k(doc):
+    doc["edges"][1]["label"] = "k"  # k : 2 -> 1 on a one-input edge
+
+
 class TestMalformedInput:
+    @pytest.mark.parametrize("command", ["saturate", "rewrite"])
+    def test_rewriting_commands_type_their_input_by_the_signature(
+        self, tmp_path, sig, command
+    ):
+        path = write_doc(tmp_path, interp("f ; g"), relabel_second_edge_k)
+        rules = tmp_path / "rules.txt"
+        rules.write_text("fh : f => h\n")
+        assert RUNNER.invoke(main, ["check", path, "--sig", sig]).exit_code == 1
+        res = RUNNER.invoke(main, [command, path, "--rules", str(rules), "--sig", sig])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert res.stdout == ""
+
     @pytest.mark.parametrize("edit", [duplicate_edge_id, external_slot_out_of_range])
     @pytest.mark.parametrize("command", ["extract", "normalize", "check"])
     def test_exits_1_without_traceback(self, tmp_path, edit, command):
@@ -229,15 +246,16 @@ class TestFuzzedDocuments:
         rules = tmp_path / "rules.txt"
         rules.write_text("swap : f ; g => g ; f\nfh : f => h\n")
         extra = ["--rules", str(rules), "--sig", sig]
-        commands = {"check": [], "extract": [], "normalize": [],
-                    "saturate": extra + ["--bidirectional"], "rewrite": extra + ["--all"]}
+        commands = {"check": [], "check --sig": ["--sig", sig], "extract": [],
+                    "normalize": [], "saturate": extra + ["--bidirectional"],
+                    "rewrite": extra + ["--all"]}
         valid = 0
         for i, text in enumerate(fuzz_documents(seed=3, count=100)):
             path = tmp_path / f"doc{i}.json"
             path.write_text(text)
             codes = {}
             for command, options in commands.items():
-                res = RUNNER.invoke(main, [command, str(path), *options])
+                res = RUNNER.invoke(main, [command.split()[0], str(path), *options])
                 where = f"{command} on document {i}: {text}"
                 assert res.exit_code in (0, 1, 2), where
                 assert res.exception is None or isinstance(res.exception, SystemExit), where
@@ -245,6 +263,10 @@ class TestFuzzedDocuments:
                 codes[command] = res.exit_code
             if codes["check"] != 0:
                 assert 0 not in codes.values(), (codes, text)
+            # The rewriting commands are given the signature, so they type
+            # their input by it, as `check --sig` does.
+            if codes["check --sig"] != 0:
+                assert codes["saturate"] != 0 and codes["rewrite"] != 0, (codes, text)
             valid += codes["check"] == 0
         assert 0 < valid < 100
 

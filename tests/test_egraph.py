@@ -1,6 +1,8 @@
 """Unit tests for the classical e-graph, its rendering as a diagram, and the
 replay of e-graph rewrites as double-pushout steps."""
 
+import json
+
 import pytest
 
 from megraph.core import validate
@@ -9,10 +11,12 @@ from megraph.egraph import (
     EGraph,
     EGraphError,
     ENode,
+    ReplayIncomplete,
     egraph_of_term_tree,
     replay,
     translate,
 )
+from megraph.serialize import loads_egraph
 from megraph.term import parse
 
 from .fixtures import (
@@ -148,6 +152,35 @@ class TestReplay:
         assert any("apply theory" in d for d in descriptions)
         assert any("share duplicate" in d for d in descriptions)
         assert iso(res.result, translate(after, FIG14)) is not None
+
+    def test_merge_of_two_existing_classes_from_documents(self):
+        # mul((a*2)/2, a*(2/2)); reassociating (a*2)/2 merges it with the
+        # existing class of a*(2/2), which the "after" document omits.
+        def doc(classes):
+            return json.dumps({"classes": [
+                {"id": i, "nodes": [{"head": h, "children": k} for h, k in ns]}
+                for i, ns in classes]})
+
+        before = loads_egraph(doc([
+            (0, [("a", [])]), (1, [("two", [])]), (2, [("mul", [0, 1])]),
+            (3, [("div", [2, 1])]), (4, [("div", [1, 1])]),
+            (5, [("mul", [0, 4])]), (6, [("mul", [3, 5])]),
+        ]))
+        after = loads_egraph(doc([
+            (0, [("a", [])]), (1, [("two", [])]), (2, [("mul", [0, 1])]),
+            (3, [("div", [2, 1]), ("mul", [0, 4])]), (4, [("div", [1, 1])]),
+            (6, [("mul", [3, 3])]),
+        ]))
+        rule = (parse("(mul * id:1) ; div"), parse("(id:1 * div) ; mul"))
+        res = replay(before, rule, after, ARITH)
+        assert [s.description for s in res.steps] == ["rewrite changed region"]
+        assert iso(res.result, translate(after, ARITH)) is not None
+
+    def test_class_without_counterpart_is_reported(self):
+        before, _ = egraph_of_term_tree(("mul", "a", "two"))
+        after, _ = egraph_of_term_tree(("mul", "two", "a"))
+        with pytest.raises(ReplayIncomplete):
+            replay(before, (parse("a"), parse("a")), after, ARITH)
 
 
 class TestPipelineFixtures:

@@ -1,6 +1,7 @@
 """Unit tests for normalization, saturation, extraction, and DOT export."""
 
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -174,8 +175,14 @@ class TestExtract:
     def test_cost_model_changes_the_winner(self):
         c = interp("(f ; g) + h")
         assert print_term(extract(c)) == "h"
-        expensive_h = CostModel({"h": __import__("fractions").Fraction(10)})
+        expensive_h = CostModel({"h": Fraction(10)})
         assert iso(interpret(extract(c, expensive_h), BASIC), interp("f ; g")) is not None
+
+    def test_a_bare_wire_alternative_costs_nothing(self):
+        # The nested box costs its cheapest alternative, the bare wire (0),
+        # so the first alternative costs 1 (h) and beats g (5).
+        costs = CostModel({"f": Fraction(10), "g": Fraction(5), "h": Fraction(1)})
+        assert print_term(extract(interp("((f + id:1) ; h) + g"), costs)) == "h"
 
     def test_extracted_term_interprets_to_a_component(self):
         c = expected_stage_b()

@@ -1,10 +1,18 @@
 """Property-based tests of the algebraic laws, driven by seeded random terms."""
 
+import copy
 import random
 
 from hypothesis import given, settings, strategies as st
 
-from megraph.core import EHomomorphism, EHypergraph, down_closure, embeddings, identity_hom
+from megraph.core import (
+    EHomomorphism,
+    EHypergraph,
+    copy_into,
+    down_closure,
+    embeddings,
+    identity_hom,
+)
 from megraph.cospan import (
     compose,
     identity_cospan,
@@ -27,7 +35,7 @@ from megraph.rewrite import (
 from megraph.term import interpret
 
 from .helpers import BASIC, interp, random_term
-from .oracles import all_homs, saturate_oracle
+from .oracles import all_homs, induced, saturate_oracle
 
 seeds = st.integers(min_value=0, max_value=10**9)
 widths = st.integers(min_value=1, max_value=3)
@@ -254,6 +262,71 @@ class TestMatcherAgainstOracle:
         expected = {as_key(h.vmap, h.emap) for h in all_homs(a, b) if is_iso(h)}
         assert len(found) == len(set(found))
         assert set(found) == expected
+
+
+def pulled_back(h, vmap, emap):
+    """The edges and placements of the elements of ``h`` that ``vmap`` and
+    ``emap`` hit, written in the ids those maps map from; a box of ``h``
+    outside their image reads as "outside"."""
+    vback = {w: v for v, w in vmap.items()}
+    eback = {d: e for e, d in emap.items()}
+    edges = {
+        eback[d]: (h.label[d], [vback[w] for w in h.source[d]],
+                   [vback[w] for w in h.target[d]])
+        for d in emap.values()
+    }
+    places = {}
+    for kind, i in h.elements():
+        back = vback if kind == "v" else eback
+        if i in back:
+            p, c = h.placement((kind, i))
+            places[kind, back[i]] = (None if p is None else eback.get(p, "outside"), c)
+    return edges, places
+
+
+class TestGraphViews:
+    @given(seeds)
+    @MATCHING
+    def test_copy_into_agrees_with_the_induced_subgraph(self, seed):
+        rng = random.Random(seed)
+        g = random_diagram(rng).carrier
+        keep = down_closure(g, [e for e in g.edges if rng.random() < 0.5])
+        keep |= {("v", v) for v in g.vertices if rng.random() < 0.2}
+        # The oracle on ``g`` with the kept elements whose box is not kept
+        # moved to top level.
+        flat = copy.deepcopy(g)
+        for kind, i in keep:
+            parents, comps = (flat.vparent, flat.vcomp) if kind == "v" else (flat.eparent, flat.ecomp)
+            if ("e", parents.get(i)) not in keep:
+                parents.pop(i, None)
+                comps.pop(i, None)
+        sub, sub_vmap, sub_emap = induced(flat, keep)
+        assert sub is not None
+        dst = EHypergraph()
+        outer = dst.add_edge(None, [], []) if rng.random() < 0.5 else None
+        comp = None if outer is None else rng.randint(0, 2)
+        vmap, emap = copy_into(dst, g, keep=keep, parent=outer, component=comp)
+        assert (set(vmap), set(emap)) == (set(sub_vmap), set(sub_emap))
+        want_edges, want_places = pulled_back(sub, sub_vmap, sub_emap)
+        got_edges, got_places = pulled_back(dst, vmap, emap)
+        assert got_edges == want_edges
+        top = (None, None) if outer is None else ("outside", comp)
+        assert got_places == {
+            el: top if place == (None, None) else place for el, place in want_places.items()
+        }
+
+    @given(seeds)
+    @MATCHING
+    def test_alternatives_partition_the_children(self, seed):
+        rng = random.Random(seed)
+        g = shuffled_copy(random_diagram(rng).carrier, rng)  # components out of order
+        for box in g.edges:
+            children = g.children(box)
+            alts = g.alternatives(box)
+            assert list(alts) == sorted({g.component_of(el) for el in children})
+            assert sorted(el for members in alts.values() for el in members) == sorted(children)
+            for comp, members in alts.items():
+                assert all(g.placement(el) == (box, comp) for el in members)
 
 
 class TestEveryMatchApplies:
