@@ -350,13 +350,15 @@ def validate(g: EHypergraph, sig: Optional[Signature] = None) -> list[str]:
     return report
 
 
-def degrees(g: EHypergraph, v: int) -> tuple[int, int]:
-    """(in-degree, out-degree) of a vertex, counting multiplicity."""
-    if v not in set(g.vertices):
-        raise KeyError(f"unknown vertex id {v}")
-    ind = sum(g.target[e].count(v) for e in g.edges)
-    outd = sum(g.source[e].count(v) for e in g.edges)
-    return ind, outd
+def degrees(g: EHypergraph) -> dict[int, tuple[int, int]]:
+    """(in-degree, out-degree) of every vertex, counting multiplicity, from
+    one pass over the edges.  An endpoint that names no vertex is ignored."""
+    ind: Counter[int] = Counter()
+    outd: Counter[int] = Counter()
+    for e in g.edges:
+        ind.update(g.target[e])
+        outd.update(g.source[e])
+    return {v: (ind[v], outd[v]) for v in g.vertices}
 
 
 def is_acyclic(g: EHypergraph) -> bool:
@@ -479,12 +481,9 @@ def connected_components(nodes: Iterable[T], links: Iterable[tuple[T, T]]) -> li
 
 def _vertex_keys(g: EHypergraph, flags: dict[int, Hashable]) -> dict[int, tuple]:
     """Per vertex: depth, in-degree, out-degree and caller-supplied flag."""
-    ind: Counter[int] = Counter()
-    outd: Counter[int] = Counter()
-    for e in g.edges:
-        outd.update(g.source[e])
-        ind.update(g.target[e])
-    return {v: (g.depth(("v", v)), ind[v], outd[v], flags.get(v)) for v in g.vertices}
+    return {
+        v: (g.depth(("v", v)), *deg, flags.get(v)) for v, deg in degrees(g).items()
+    }
 
 
 def embeddings(

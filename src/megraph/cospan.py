@@ -107,7 +107,8 @@ def validate_cospan(c: ExtendedCospan, sig: Optional[Signature] = None) -> list[
         for v in slots:
             if v not in vset:
                 report.append(f"{side} slot vertex {v} not in carrier")
-        if len(set(ext)) != len(ext):
+        ext_set = set(ext)
+        if len(ext_set) != len(ext):
             report.append(f"{side} external positions not injective")
         for p in ext:
             if not (0 <= p < len(slots)):
@@ -116,7 +117,7 @@ def validate_cospan(c: ExtendedCospan, sig: Optional[Signature] = None) -> list[
             if slots[p] in vset and not c.carrier.is_top_level(("v", slots[p])):
                 report.append(f"{side} external slot {p} maps to a nested vertex")
         for p in range(len(slots)):
-            if p in set(ext) or slots[p] not in vset:
+            if p in ext_set or slots[p] not in vset:
                 continue
             if c.carrier.is_top_level(("v", slots[p])):
                 report.append(
@@ -136,8 +137,7 @@ def is_mda_well_typed(c: ExtendedCospan) -> list[str]:
     if len(set(c.int_out)) != len(c.int_out):
         report.append("output internal interface not injective")
     ins, outs = set(c.int_in), set(c.int_out)
-    for v in g.vertices:
-        ind, outd = degrees(g, v)
+    for v, (ind, outd) in degrees(g).items():
         if ind > 1 or outd > 1:
             report.append(f"vertex {v}: degree above 1 (in={ind}, out={outd})")
         if (ind == 0) != (v in ins):

@@ -15,17 +15,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .core import down_closure
 from . import cospan as cs
 from .cospan import ExtendedCospan
 from . import term as tm
 from .rewrite import (
     Match,
     RewriteRule,
-    _reordered,
+    _top_box,
     apply,
-    component_cospan,
-    extract_subdiagram,
+    choose,
+    components,
     find_matches,
     structural_matches,
 )
@@ -100,52 +99,12 @@ def normalize(
     for _ in range(budget):
         ms = structural_matches(cur)
         if not ms:
-            return _canonical_join(cur)
+            # Rejoined from its components, a top-level box has its wires in
+            # external-interface order, whatever order the steps left them in.
+            return cs.join(components(cur))
         _, match = ms[0] if order == "first" else ms[-1]
         cur = apply(match)
     raise EngineError("normalization step budget exceeded")
-
-
-def _top_box(c: ExtendedCospan) -> Optional[int]:
-    """The box when the whole diagram is one top-level alternative box."""
-    g = c.carrier
-    tops = [e for e in g.edges if g.eparent.get(e) is None]
-    if len(tops) != 1 or not g.is_box(tops[0]):
-        return None
-    endpoints = set(g.endpoints(tops[0]))
-    if all(v in endpoints for v in g.vertices if g.vparent.get(v) is None):
-        return tops[0]
-    return None
-
-
-def _canonical_join(c: ExtendedCospan) -> ExtendedCospan:
-    """Rebuild a top-level alternative box with its wires attached in
-    external-interface order, so the result does not depend on the order in
-    which alternatives were accumulated."""
-    box = _top_box(c)
-    if box is None:
-        return c
-    g = c.carrier
-    src, tgt = list(g.source[box]), list(g.target[box])
-    ext_in = list(c.ext_in_vertices())
-    ext_out = list(c.ext_out_vertices())
-    if set(src) != set(ext_in) or set(tgt) != set(ext_out):
-        return c
-    # Each component's ports follow the box's wire order.
-    return cs.join(
-        [
-            _reordered(component_cospan(c, box, k), src, tgt, ext_in, ext_out)
-            for k in g.alternatives(box)
-        ]
-    )
-
-
-def components(c: ExtendedCospan) -> list[ExtendedCospan]:
-    """The alternatives of a top-level alternative box, or ``[c]`` itself."""
-    box = _top_box(c)
-    if box is None:
-        return [c]
-    return [component_cospan(c, box, k) for k in c.carrier.alternatives(box)]
 
 
 # ---------------------------------------------------------------------------
@@ -255,15 +214,8 @@ def prune(c: ExtendedCospan, m: Optional[CostModel] = None) -> ExtendedCospan:
         )
         if not boxes:
             return cur
-        box = boxes[0]
-        costs = _alternative_costs(cur, box, m)
-        best = min(costs, key=costs.get)
-        lhs, hom = extract_subdiagram(
-            cur, down_closure(g, [box]), list(g.source[box]), list(g.target[box])
-        )
-        rhs = component_cospan(cur, box, best)
-        rule = RewriteRule("keep cheapest alternative", lhs, rhs)
-        cur = apply(Match(rule=rule, hom=hom, host=cur))
+        costs = _alternative_costs(cur, boxes[0], m)
+        cur = choose(cur, boxes[0], min(costs, key=costs.get))
     raise EngineError("pruning did not terminate")  # pragma: no cover
 
 

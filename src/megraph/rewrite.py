@@ -9,6 +9,9 @@ The structural schemas implement the semilattice laws (distribution over
 alternatives, flattening of nested alternative boxes, idempotence and
 singleton unboxing); each schema instance is synthesised as an ordinary
 concrete rule plus match, so the single generic engine covers every rewrite.
+``choose`` replaces a box by one of its alternatives; it builds the
+right-hand sides of distribution and flattening, the alternatives that
+``components`` lists, and each pruning step of extraction.
 """
 
 from __future__ import annotations
@@ -31,13 +34,10 @@ from .cospan import (
     ExtendedCospan,
     PushoutPreconditionError,
     discrete,
-    identity_cospan,
     is_mda_well_typed,
     iso,
     join_raw,
     pushout,
-    tensor,
-    compose,
     validate_cospan,
 )
 from .term import Term, interpret, typecheck
@@ -193,7 +193,8 @@ def find_matches(rule: RewriteRule, host: ExtendedCospan) -> list[Match]:
 
 @dataclass
 class Complement:
-    """The host minus the matched material, with gluing bookkeeping.
+    """The host minus the matched material (for ``choose``, minus a box and
+    its contents), with gluing bookkeeping.
 
     The complement graph keeps host ids.  ``in_glue`` are the images of the
     rule's external *outputs* (they feed what remains downstream, so they sit
@@ -284,8 +285,12 @@ def boundary_complement(m: Match) -> Complement:
 
 def apply(m: Match) -> ExtendedCospan:
     """One double-pushout step: carve out the match, glue in the replacement."""
-    comp = boundary_complement(m)
-    rhs = m.rule.rhs
+    return _glue(boundary_complement(m), m.rule.rhs)
+
+
+def _glue(comp: Complement, rhs: ExtendedCospan) -> ExtendedCospan:
+    """Glue ``rhs`` into the hole of ``comp`` along its glue vertices, keeping
+    the host's interface; the result is validated."""
     n_in = len(comp.out_glue)  # rule external inputs
     n_out = len(comp.in_glue)
     z = discrete(n_in + n_out)
@@ -318,10 +323,11 @@ def apply(m: Match) -> ExtendedCospan:
     int_out = tuple(inj_c.vmap[v] for v in comp.kept_int_out) + tuple(
         inj_r.vmap[rhs.int_out[p]] for p in rhs.strict_out_positions()
     )
+    host = comp.host
     pos_in = {v: p for p, v in enumerate(comp.kept_int_in)}
-    ext_in = tuple(pos_in[m.host.int_in[p]] for p in m.host.ext_in)
+    ext_in = tuple(pos_in[host.int_in[p]] for p in host.ext_in)
     pos_out = {v: p for p, v in enumerate(comp.kept_int_out)}
-    ext_out = tuple(pos_out[m.host.int_out[p]] for p in m.host.ext_out)
+    ext_out = tuple(pos_out[host.int_out[p]] for p in host.ext_out)
     result = ExtendedCospan(po.obj, int_in, int_out, ext_in, ext_out)
     report = validate_cospan(result) + is_mda_well_typed(result)
     if report:
@@ -391,6 +397,56 @@ def component_cospan(host: ExtendedCospan, box: int, comp: int) -> ExtendedCospa
 
 
 # ---------------------------------------------------------------------------
+# Choosing an alternative
+# ---------------------------------------------------------------------------
+
+
+def choose(c: ExtendedCospan, box: int, k: int) -> ExtendedCospan:
+    """``c`` with ``box`` replaced by its alternative ``k``, keeping ``c``'s
+    interface.
+
+    The box and everything nested in it are removed, and the alternative is
+    glued into the hole along the box's endpoints: its external inputs
+    (outputs) meet the box's sources (targets) in order.
+    """
+    g = c.carrier
+    removed = down_closure(g, [box]) - {("v", v) for v in g.endpoints(box)}
+    rm_v = {i for kind, i in removed if kind == "v"}
+    rm_e = {i for kind, i in removed if kind == "e"}
+    hole = Complement(
+        graph=g.without(rm_v, rm_e),
+        kept_int_in=tuple(v for v in c.int_in if v not in rm_v),
+        kept_int_out=tuple(v for v in c.int_out if v not in rm_v),
+        in_glue=g.target[box],
+        out_glue=g.source[box],
+        top_level=g.eparent.get(box) is None,
+        host=c,
+    )
+    return _glue(hole, component_cospan(c, box, k))
+
+
+def _top_box(c: ExtendedCospan) -> Optional[int]:
+    """The box when the whole diagram is one top-level alternative box."""
+    g = c.carrier
+    tops = [e for e in g.edges if g.eparent.get(e) is None]
+    if len(tops) != 1 or not g.is_box(tops[0]):
+        return None
+    endpoints = set(g.endpoints(tops[0]))
+    if all(v in endpoints for v in g.vertices if g.vparent.get(v) is None):
+        return tops[0]
+    return None
+
+
+def components(c: ExtendedCospan) -> list[ExtendedCospan]:
+    """The alternatives of a top-level alternative box, each with ``c``'s
+    interface, or ``[c]`` itself."""
+    box = _top_box(c)
+    if box is None:
+        return [c]
+    return [choose(c, box, k) for k in c.carrier.alternatives(box)]
+
+
+# ---------------------------------------------------------------------------
 # Structural schemas
 # ---------------------------------------------------------------------------
 
@@ -398,19 +454,6 @@ def component_cospan(host: ExtendedCospan, box: int, comp: int) -> ExtendedCospa
 @dataclass(frozen=True)
 class StructuralSchema:
     schema_id: str
-
-
-def _wiring(n: int, out_of: Sequence[int]) -> ExtendedCospan:
-    """Discrete cospan with n inputs whose output j is input ``out_of[j]``."""
-    g = discrete(n)
-    vs = tuple(g.vertices)
-    return ExtendedCospan(
-        g,
-        vs,
-        tuple(vs[i] for i in out_of),
-        tuple(range(n)),
-        tuple(range(len(out_of))),
-    )
 
 
 def _box_instances(host: ExtendedCospan) -> list[int]:
@@ -434,6 +477,11 @@ def _sibling_match(
     return StructuralSchema(schema), Match(rule=rule, hom=hom, host=host)
 
 
+def _preimage(hom: EHomomorphism, e: int) -> int:
+    """The edge of ``hom``'s domain that lands on ``e``."""
+    return next(x for x, y in hom.emap.items() if y == e)
+
+
 def _host_ordered(host: ExtendedCospan, vs: Sequence[int], side: str) -> list[int]:
     """Order wires by their host interface position (fallback: vertex id)."""
     slots = host.int_in if side == "in" else host.int_out
@@ -441,97 +489,25 @@ def _host_ordered(host: ExtendedCospan, vs: Sequence[int], side: str) -> list[in
     return sorted(vs, key=lambda v: (pos.get(v, len(pos)), v))
 
 
-def _reordered(
-    part: ExtendedCospan,
-    raw_in: list[int],
-    raw_out: list[int],
-    ext_in: list[int],
-    ext_out: list[int],
-) -> ExtendedCospan:
-    """Re-wire a part whose ports follow ``raw_*`` order into ``ext_*`` order."""
-    if raw_in != ext_in:
-        part = compose(_wiring(len(ext_in), [ext_in.index(v) for v in raw_in]), part)
-    if raw_out != ext_out:
-        part = compose(part, _wiring(len(raw_out), [raw_out.index(v) for v in ext_out]))
-    return part
-
-
-def _seq_dist_instance(
-    host: ExtendedCospan, e: int, box: int, direction: str
+def _dist_instance(
+    host: ExtendedCospan, e: int, box: int, schema: str
 ) -> Optional[tuple[StructuralSchema, Match]]:
-    """Absorb an edge feeding (or fed by) a box into every component."""
+    """Absorb a sibling edge that feeds, is fed by, or runs beside a box into
+    every alternative: the context around the box equals the join of that
+    context around each alternative."""
     hg = host.carrier
     elements = down_closure(hg, [e, box])
-    if direction == "L":
-        producer_out = list(hg.target[e])
-        consumer_in = list(hg.source[box])
-    else:
-        producer_out = list(hg.target[box])
-        consumer_in = list(hg.source[e])
-    fed = [v for v in producer_out if v in set(consumer_in)]
-    if not fed:
-        return None
-    open_out = [v for v in producer_out if v not in set(fed)]
-    unfed_in = [v for v in consumer_in if v not in set(fed)]
-    if direction == "L":
-        raw_in = list(hg.source[e]) + unfed_in
-        raw_out = list(hg.target[box]) + open_out
-    else:
-        raw_in = list(hg.source[box]) + unfed_in
-        raw_out = list(hg.target[e]) + open_out
-    ext_in = _host_ordered(host, raw_in, "in")
-    ext_out = _host_ordered(host, raw_out, "out")
-    lhs, hom = extract_subdiagram(host, elements, ext_in, ext_out)
-    # Standalone cospans for the context edge and each component.
-    e_elements = down_closure(hg, [e])
-    ectx, _ = extract_subdiagram(host, e_elements, list(hg.source[e]), list(hg.target[e]))
-    comps = [component_cospan(host, box, c) for c in hg.alternatives(box)]
-    parts = []
-    for d in comps:
-        if direction == "L":
-            # inputs: e.sources ++ unfed; run e, reorder (targets ++ unfed)
-            # into (box.sources ++ open), feed the component, pass open wires.
-            stage1 = tensor(ectx, identity_cospan(len(unfed_in)))
-            mid = producer_out + unfed_in  # vertex ids in stage-1 output order
-            want = consumer_in + open_out
-            perm = _wiring(len(mid), [mid.index(v) for v in want])
-            stage2 = compose(stage1, perm)
-            part = compose(stage2, tensor(d, identity_cospan(len(open_out))))
-        else:
-            stage1 = tensor(d, identity_cospan(len(unfed_in)))
-            mid = producer_out + unfed_in
-            want = consumer_in + open_out
-            perm = _wiring(len(mid), [mid.index(v) for v in want])
-            stage2 = compose(stage1, perm)
-            part = compose(stage2, tensor(ectx, identity_cospan(len(open_out))))
-        parts.append(_reordered(part, raw_in, raw_out, ext_in, ext_out))
-    rhs = join_raw(parts)
-    schema = "SeqDistL" if direction == "L" else "SeqDistR"
+    produced = set(hg.target[e] + hg.target[box])
+    consumed = set(hg.source[e] + hg.source[box])
+    lhs, hom = extract_subdiagram(
+        host,
+        elements,
+        _host_ordered(host, list(consumed - produced), "in"),
+        _host_ordered(host, list(produced - consumed), "out"),
+    )
+    lbox = _preimage(hom, box)
+    rhs = join_raw([choose(lhs, lbox, k) for k in lhs.carrier.alternatives(lbox)])
     return _sibling_match(host, elements, lhs, hom, rhs, schema, f"dist-{schema}")
-
-
-def _tens_dist_instance(
-    host: ExtendedCospan, e: int, box: int
-) -> Optional[tuple[StructuralSchema, Match]]:
-    """Absorb a parallel sibling edge into every component."""
-    hg = host.carrier
-    elements = down_closure(hg, [e, box])
-    ectx, _ = extract_subdiagram(
-        host, down_closure(hg, [e]), list(hg.source[e]), list(hg.target[e])
-    )
-    e_in, e_out = list(hg.source[e]), list(hg.target[e])
-    if set(e_in + e_out) & set(hg.endpoints(box)):
-        return None  # connected: a sequential instance, not a parallel one
-    raw_in = e_in + list(hg.source[box])
-    raw_out = e_out + list(hg.target[box])
-    ext_in = _host_ordered(host, raw_in, "in")
-    ext_out = _host_ordered(host, raw_out, "out")
-    lhs, hom = extract_subdiagram(host, elements, ext_in, ext_out)
-    comps = [component_cospan(host, box, c) for c in hg.alternatives(box)]
-    rhs = join_raw(
-        [_reordered(tensor(ectx, d), raw_in, raw_out, ext_in, ext_out) for d in comps]
-    )
-    return _sibling_match(host, elements, lhs, hom, rhs, "TensDistL", "dist-tens")
 
 
 def _flatten_instance(
@@ -547,12 +523,11 @@ def _flatten_instance(
     lhs, hom = extract_subdiagram(
         host, elements, list(hg.source[outer]), list(hg.target[outer])
     )
+    louter = _preimage(hom, outer)
     parts = []
     for c in alternatives:
-        if c == comp:
-            parts.extend(component_cospan(host, inner, d) for d in hg.alternatives(inner))
-        else:
-            parts.append(component_cospan(host, outer, c))
+        part = choose(lhs, louter, c)
+        parts.extend(components(part) if c == comp else [part])
     rhs = join_raw(parts)
     return _sibling_match(host, elements, lhs, hom, rhs, "Flatten", "flatten")
 
@@ -613,11 +588,12 @@ def structural_matches(
         box_src, box_tgt = set(hg.source[box]), set(hg.target[box])
         for e in siblings:
             if set(hg.target[e]) & box_src:
-                inst = _seq_dist_instance(host, e, box, "L")
+                schema = "SeqDistL"
             elif set(hg.source[e]) & box_tgt:
-                inst = _seq_dist_instance(host, e, box, "R")
+                schema = "SeqDistR"
             else:
-                inst = _tens_dist_instance(host, e, box)
+                schema = "TensDistL"
+            inst = _dist_instance(host, e, box, schema)
             if inst:
                 out.append(inst)
     return out

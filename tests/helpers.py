@@ -6,6 +6,8 @@ import random
 from typing import Optional
 
 from megraph import term as tm
+from megraph.cospan import iso
+from megraph.engine import components
 from megraph.term import Comp, Gen, Id, Join, Sym, Tensor, interpret, parse, parse_signature
 
 BASIC_SIG_TEXT = """
@@ -37,6 +39,8 @@ plus: 2 -> 1
 """
 
 BASIC = parse_signature(BASIC_SIG_TEXT)
+# Four unary generators, so that two-branch rules such as f + g => h + k type.
+UNARY = parse_signature("f: 1 -> 1\ng: 1 -> 1\nh: 1 -> 1\nk: 1 -> 1\n")
 BASIC_CART = parse_signature(BASIC_SIG_TEXT, cartesian=True)
 ARITH = parse_signature(ARITH_SIG_TEXT, cartesian=True)
 FIG14 = parse_signature(FIG14_SIG_TEXT, cartesian=True)
@@ -44,6 +48,32 @@ FIG14 = parse_signature(FIG14_SIG_TEXT, cartesian=True)
 
 def interp(text: str, sig=BASIC):
     return interpret(parse(text), sig)
+
+
+def same_alternatives(c, texts, sig=UNARY):
+    """``c``'s alternatives are, up to iso and order, the distinct diagrams of
+    the given terms."""
+    wanted: list = []
+    for text in texts:
+        w = interpret(parse(text), sig)
+        if all(iso(w, other) is None for other in wanted):
+            wanted.append(w)
+    parts = components(c)
+    return len(parts) == len(wanted) and all(
+        any(iso(p, w) is not None for p in parts) for w in wanted
+    )
+
+
+def expand(t: tm.Term) -> list[tm.Term]:
+    """The box-free terms that ``t``'s alternatives stand for: ``Join``
+    distributed over ``Comp`` and ``Tensor``, nested joins flattened."""
+    if isinstance(t, Join):
+        return [u for part in t.parts for u in expand(part)]
+    if isinstance(t, Comp):
+        return [Comp(a, b) for a in expand(t.first) for b in expand(t.second)]
+    if isinstance(t, Tensor):
+        return [Tensor(a, b) for a in expand(t.left) for b in expand(t.right)]
+    return [t]
 
 
 def comp(*parts: tm.Term) -> tm.Term:

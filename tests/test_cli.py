@@ -118,6 +118,20 @@ class TestNormalizeExtractSaturate:
         assert res.exit_code == 0
         assert iso(loads_cospan(res.stdout), interp("f + g")) is not None
 
+    def test_saturate_keeps_a_crossing_in_front_of_the_box(self, tmp_path, sig):
+        path = write_graph(tmp_path, interp("sym:1,1 ; ((f * g) + (g * g))"))
+        rules = tmp_path / "rules.txt"
+        rules.write_text("r : f => h\n")
+        res = RUNNER.invoke(
+            main, ["saturate", path, "--rules", str(rules), "--sig", sig]
+        )
+        assert res.exit_code == 0
+        saturated = tmp_path / "saturated.json"
+        saturated.write_text(res.stdout)
+        res = RUNNER.invoke(main, ["extract", str(saturated)])
+        assert res.exit_code == 0
+        assert res.stdout.strip() == "sym:1,1 ; f * g"
+
     def test_extract_with_costs(self, tmp_path):
         path = write_graph(tmp_path, interp("(f ; g) + h"))
         costs = tmp_path / "costs.txt"

@@ -102,23 +102,23 @@ class TestDegrees:
     def test_isolated_vertex(self):
         g = EHypergraph()
         v = g.add_vertex()
-        assert degrees(g, v) == (0, 0)
+        assert degrees(g)[v] == (0, 0)
 
     def test_through_vertex(self):
         g, vs, _ = chain(["f", "g"])
-        assert degrees(g, vs[1]) == (1, 1)
+        assert degrees(g)[vs[1]] == (1, 1)
 
     def test_multiplicity_counts_per_occurrence(self):
         g = EHypergraph()
         v = g.add_vertex()
         w = g.add_vertex()
         g.add_edge("k", [v, v], [w])
-        assert degrees(g, v) == (0, 2)
+        assert degrees(g)[v] == (0, 2)
 
     def test_unknown_vertex(self):
         g = EHypergraph()
         with pytest.raises(KeyError):
-            degrees(g, 99)
+            degrees(g)[99]
 
 
 class TestAcyclicity:

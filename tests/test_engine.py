@@ -22,7 +22,7 @@ from megraph.rewrite import rule_from_terms
 from megraph.term import interpret, parse, parse_signature, print_term, typecheck
 
 from .fixtures import expected_stage_b
-from .helpers import ARITH, BASIC, interp
+from .helpers import ARITH, BASIC, UNARY, interp, same_alternatives
 
 
 class TestNormalize:
@@ -55,6 +55,12 @@ class TestNormalize:
     def test_budget_guard(self):
         with pytest.raises(EngineError):
             normalize(interp("h ; (f + g)"), budget=1)
+
+
+class TestComponents:
+    def test_a_crossing_in_front_of_the_box_stays(self):
+        c = interp("sym:1,1 ; ((f * g) + (g * g))")
+        assert same_alternatives(c, ["sym:1,1 ; (f * g)", "sym:1,1 ; (g * g)"])
 
 
 class TestSaturate:
@@ -91,23 +97,12 @@ class TestSaturate:
             Strategy(max_steps=-1)
 
 
-# Four unary generators, so that two-branch rules such as f + g => h + k type.
-UNARY = parse_signature("f: 1 -> 1\ng: 1 -> 1\nh: 1 -> 1\nk: 1 -> 1\n")
 SWAP = parse_signature("f0: 1 -> 1\nf1: 1 -> 1\n")
 
 
 def saturate_terms(lhs, rhs, host, sig=UNARY, **strategy):
     rule = rule_from_terms("r", parse(lhs), parse(rhs), sig)
     return saturate(interpret(parse(host), sig), Strategy(rules=[rule], **strategy))
-
-
-def same_alternatives(c, texts, sig=UNARY):
-    """``c``'s alternatives are, up to iso and order, the given terms."""
-    parts = components(c)
-    wanted = [interpret(parse(t), sig) for t in texts]
-    return len(parts) == len(wanted) and all(
-        any(iso(p, w) is not None for p in parts) for w in wanted
-    )
 
 
 class TestSaturateWorklist:

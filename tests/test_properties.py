@@ -24,7 +24,7 @@ from megraph.cospan import (
     tensor,
     validate_cospan,
 )
-from megraph.engine import Strategy, _top_box, components, saturate
+from megraph.engine import Strategy, _top_box, components, normalize, saturate
 from megraph.rewrite import (
     RewriteRule,
     apply,
@@ -32,9 +32,9 @@ from megraph.rewrite import (
     monomorphisms,
     structural_matches,
 )
-from megraph.term import interpret
+from megraph.term import Comp, Gen, Join, Sym, Tensor, interpret, print_term
 
-from .helpers import BASIC, interp, random_term
+from .helpers import BASIC, expand, interp, random_term, same_alternatives
 from .oracles import all_homs, induced, saturate_oracle
 
 seeds = st.integers(min_value=0, max_value=10**9)
@@ -422,3 +422,46 @@ class TestSaturateAgainstOracle:
                 top = _top_box(joined)
                 assert all(stored(m) for m in find_matches(rule, joined)
                            if top in m.hom.emap.values())
+
+
+# ---------------------------------------------------------------------------
+# Normalization against syntactic expansion
+# ---------------------------------------------------------------------------
+
+
+def random_branching_term(rng, dom, cod, depth=2):
+    """A random ``dom -> cod`` term (widths 1 and 2) over f, g, h, s, k and
+    sym:1,1, with joins nested in joins and crossings directly in front of
+    joins.  It has no ``id:n``, so no box sits beside a bare wire, which
+    ``normalize`` leaves as it is."""
+    if depth > 0 and rng.random() < 0.4:
+        parts = [random_branching_term(rng, dom, cod, depth - 1)
+                 for _ in range(rng.choice([2, 2, 3]))]
+        t = Join(tuple(parts))
+        return Comp(Sym(1, 1), t) if dom == 2 and rng.random() < 0.7 else t
+    r = rng.random()
+    if depth > 0 and r < 0.3:
+        mid = rng.choice([1, 2])
+        return Comp(random_branching_term(rng, dom, mid, depth - 1),
+                    random_branching_term(rng, mid, cod, depth - 1))
+    if depth > 0 and dom == cod == 2 and r < 0.6:
+        return Tensor(random_branching_term(rng, 1, 1, depth - 1),
+                      random_branching_term(rng, 1, 1, depth - 1))
+    unary = [Gen("f"), Gen("g"), Gen("h")]
+    if dom == cod == 1:
+        return rng.choice(unary)
+    if (dom, cod) == (1, 2):
+        return Gen("s")
+    if (dom, cod) == (2, 1):
+        return Gen("k")
+    return rng.choice([Sym(1, 1), Tensor(rng.choice(unary), rng.choice(unary))])
+
+
+class TestNormalizeAgainstExpansion:
+    @given(seeds)
+    @settings(max_examples=200, deadline=None)
+    def test_alternatives_are_the_syntactic_expansion(self, seed):
+        rng = random.Random(seed)
+        t = random_branching_term(rng, rng.choice([1, 2, 2]), rng.choice([1, 2]))
+        expected = [print_term(u) for u in expand(t)]
+        assert same_alternatives(normalize(interpret(t, BASIC)), expected, BASIC)

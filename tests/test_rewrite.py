@@ -18,7 +18,7 @@ from megraph.rewrite import (
 )
 from megraph.term import parse
 
-from .helpers import ARITH, BASIC, interp
+from .helpers import ARITH, BASIC, interp, same_alternatives
 
 
 class TestRuleConstruction:
@@ -188,3 +188,10 @@ class TestStructuralMatches:
         insts = structural_matches(host)
         sm = next(m for s, m in insts if s.schema_id == "Flatten")
         assert iso(apply(sm), interp("f + g + h")) is not None
+        # A crossing in front of the nested box stays in each of its alternatives.
+        host = interp("(sym:1,1 ; ((f * g) + (g * f))) + (h * h)")
+        insts = structural_matches(host)
+        sm = next(m for s, m in insts if s.schema_id == "Flatten")
+        assert same_alternatives(
+            apply(sm), ["sym:1,1 ; (f * g)", "sym:1,1 ; (g * f)", "h * h"]
+        )
