@@ -479,40 +479,19 @@ def connected_components(nodes: Iterable[T], links: Iterable[tuple[T, T]]) -> li
     return out
 
 
-def _vertex_keys(g: EHypergraph, flags: dict[int, Hashable]) -> dict[int, tuple]:
-    """Per vertex: depth, in-degree, out-degree and caller-supplied flag."""
-    return {
-        v: (g.depth(("v", v)), *deg, flags.get(v)) for v, deg in degrees(g).items()
-    }
-
-
 def embeddings(
-    pat: EHypergraph,
-    host: EHypergraph,
-    exact: bool = False,
-    forced: Optional[dict[int, int]] = None,
-    vflags: tuple[dict[int, Hashable], dict[int, Hashable]] = ({}, {}),
+    pat: EHypergraph, host: EHypergraph
 ) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
     """Yield (vertex map, edge map) pairs of injective maps from ``pat`` into
     ``host`` that preserve labels, ordered endpoints, immediate parents and
     consistency components.
 
-    By default top-level pattern elements may land inside host boxes and
-    several pattern components may land in one host component.  With
-    ``exact`` only isomorphisms are yielded: top level maps to top level,
-    components map injectively per box, and every vertex keeps its depth,
-    in/out degree and ``vflags`` entry (pattern flags first).  ``forced``
-    pins vertex images before the search starts.
+    Top-level pattern elements may land inside host boxes, and several
+    pattern components may land in one host component.
     """
-    if exact and (
-        len(pat.vertices) != len(host.vertices) or len(pat.edges) != len(host.edges)
-    ):
-        return
-    forced = forced or {}
 
     def ekey(g: EHypergraph, e: int) -> tuple:
-        key = (g.label[e], len(g.source[e]), len(g.target[e]))
-        return key + (g.depth(("e", e)),) if exact else key
+        return (g.label[e], len(g.source[e]), len(g.target[e]))
 
     # Edges outermost first, so a parent box is mapped before its children.
     edges = sorted(pat.edges, key=lambda e: (pat.depth(("e", e)), e))
@@ -520,37 +499,23 @@ def embeddings(
     by_key: dict[tuple, list[int]] = {}
     for e in host.edges:
         by_key.setdefault(ekey(host, e), []).append(e)
-    pkey: dict[int, tuple] = {}
-    hkey: dict[int, tuple] = {}
-    if exact:
-        pkey, hkey = _vertex_keys(pat, vflags[0]), _vertex_keys(host, vflags[1])
-        if Counter(pkey.values()) != Counter(hkey.values()):
-            return
-        if Counter(edge_keys) != Counter({k: len(es) for k, es in by_key.items()}):
-            return
 
     vmap: dict[int, int] = {}
     emap: dict[int, int] = {}
     used_v: set[int] = set()
     used_e: set[int] = set()
-    # (pattern box, pattern component) -> host component; in exact mode
-    # ``taken`` holds the (pattern box, host component) pairs already hit.
+    # (pattern box, pattern component) -> host component
     comps: dict[tuple[int, int], int] = {}
-    taken: set[tuple[int, int]] = set()
 
     def try_place(pp, pc, hp, hc, undo: list) -> bool:
         """Parent and component of a pattern element against a host candidate."""
         if pp is None:
-            return not exact or hp is None
+            return True
         if hp is None or emap.get(pp) != hp:
             return False
         key = (pp, pc)
         if key in comps:
             return comps[key] == hc
-        if exact:
-            if (pp, hc) in taken:
-                return False
-            taken.add((pp, hc))
         comps[key] = hc
         undo.append(("c", key, hc))
         return True
@@ -558,7 +523,7 @@ def embeddings(
     def try_vertex(va: int, vb: int, undo: list) -> bool:
         if va in vmap:
             return vmap[va] == vb
-        if vb in used_v or (exact and pkey[va] != hkey[vb]):
+        if vb in used_v:
             return False
         if not try_place(
             pat.vparent.get(va), pat.vcomp.get(va),
@@ -596,13 +561,9 @@ def embeddings(
                 used_e.discard(b)
             else:
                 del comps[a]
-                taken.discard((a[0], b))
 
-    for va, vb in forced.items():
-        if not try_vertex(va, vb, []):
-            return
-    # After the edges, the vertices that no edge or pin reaches.
-    touched = set(forced).union(*(pat.endpoints(e) for e in edges))
+    # After the edges, the vertices that no edge reaches.
+    touched = set().union(*(pat.endpoints(e) for e in edges))
     loose = [v for v in pat.vertices if v not in touched]
 
     def search(i: int) -> Iterator[tuple[dict[int, int], dict[int, int]]]:

@@ -11,7 +11,7 @@ nested inside boxes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Hashable, Optional, Sequence
 
 from .core import (
     EHomomorphism,
@@ -21,7 +21,6 @@ from .core import (
     connected_components,
     copy_into,
     degrees,
-    embeddings,
     is_acyclic,
     validate,
 )
@@ -182,102 +181,122 @@ class IsoWitness:
     gamma: tuple[int, ...]
 
 
-def _slot_blocks(
-    c: ExtendedCospan, slots: tuple[int, ...], strict: tuple[int, ...]
-) -> dict[tuple[int, int], list[int]]:
-    """Group strictly internal slot positions by the (box, component) of their image."""
-    blocks: dict[tuple[int, int], list[int]] = {}
-    for p in strict:
-        v = slots[p]
-        parent, comp = c.carrier.placement(("v", v))
-        if parent is None or comp is None:
-            # Invalid cospan shape; treat each as its own block.
-            blocks.setdefault((-1, -p - 1), []).append(p)
-        else:
-            blocks.setdefault((parent, comp), []).append(p)
-    return blocks
+def _canonical(c: ExtendedCospan) -> tuple[tuple, list[int], list[int], list[tuple]]:
+    """The certificate of ``c``, and the order in which it numbers things:
+    the carrier's vertices, its edges, and the (input, output) slot
+    positions of each level, top level first."""
+    g = c.carrier
+    if any(ind > 1 or outd > 1 for ind, outd in degrees(g).values()):
+        raise CospanError("certificate: a vertex has two producers or two consumers")
+    producer = {v: e for e in g.edges for v in g.target[e]}
+    consumer = {v: e for e in g.edges for v in g.source[e]}
+    # A level is the top level (None, None) or a (box, component).  Its slots
+    # are the external ones at the top level, else the strict ones it holds.
+    members: dict[tuple, tuple[list[int], list[int]]] = {}
+    for side, xs, parent, comp in ((0, g.vertices, g.vparent, g.vcomp),
+                                   (1, g.edges, g.eparent, g.ecomp)):
+        for x in xs:
+            members.setdefault((parent.get(x), comp.get(x)), ([], []))[side].append(x)
+    slots = {(None, None): (list(c.ext_in), list(c.ext_out))}
+    for side, vs, strict in ((0, c.int_in, c.strict_in_positions()),
+                             (1, c.int_out, c.strict_out_positions())):
+        for p in strict:
+            slots.setdefault((g.vparent.get(vs[p]), g.vcomp.get(vs[p])), ([], []))[side].append(p)
+    boxes: dict[int, list[tuple]] = {}  # box -> its components' levels, sorted
+
+    def walk(vorder: list[int], eorder: list[int]) -> tuple[list, list, tuple, dict]:
+        """Number what the listed vertices and edges reach, extending the
+        lists: a vertex brings its producer, then its consumer; an edge its
+        endpoints in port order.  Returns the lists, a record (label, source
+        numbers, target numbers) per edge, and the vertex numbers."""
+        vnum = {v: i for i, v in enumerate(vorder)}
+        eseen, records, i = set(eorder), [], 0
+        while i < len(vorder) or len(records) < len(eorder):
+            for v in vorder[i:]:
+                for e in (producer.get(v), consumer.get(v)):
+                    if e is not None and e not in eseen:
+                        eseen.add(e)
+                        eorder.append(e)
+            i = len(vorder)
+            for e in eorder[len(records):]:
+                for v in g.source[e] + g.target[e]:
+                    if v not in vnum:
+                        vnum[v] = len(vorder)
+                        vorder.append(v)
+                if g.label[e] is None and e not in boxes:
+                    boxes[e] = sorted((level(k) for k in members if k[0] == e),
+                                      key=lambda r: r[0])
+                label = (0, g.label[e]) if e not in boxes else (1, tuple(r[0] for r in boxes[e]))
+                records.append((label, tuple([vnum[v] for v in g.source[e]]),
+                                tuple([vnum[v] for v in g.target[e]])))
+        return vorder, eorder, tuple(records), vnum
+
+    def level(key: tuple) -> tuple:
+        (ins, outs), (vs, es) = slots.get(key, ([], [])), members.get(key, ([], []))
+        in_vs, out_vs = [c.int_in[p] for p in ins], [c.int_out[p] for p in outs]
+        vorder, eorder, records, vnum = walk(list(dict.fromkeys(in_vs + out_vs)), [])
+        covered, pieces = set(eorder), []  # what no slot reaches, in pieces
+        for e in es:
+            if e not in covered:
+                piece = walk([], [e])[1]
+                covered.update(piece)
+                pieces.append(min((walk([], [d]) for d in piece), key=lambda p: p[2]))
+        pieces.sort(key=lambda p: p[2])
+        vorder += [v for p in pieces for v in p[0]]
+        eorder += [e for p in pieces for e in p[1]]
+        reached = set(vorder)
+        loose = [v for v in vs if v not in reached]
+        cert = (tuple([vnum[v] for v in in_vs]), tuple([vnum[v] for v in out_vs]),
+                records, tuple(p[2] for p in pieces), len(loose))
+        vorder += loose
+        blocks = [(ins, outs)]
+        for box in [e for e in eorder if e in boxes]:
+            for _, nested_vs, nested_es, nested_blocks in boxes[box]:
+                vorder += nested_vs
+                eorder += nested_es
+                blocks += nested_blocks
+        return cert, vorder, eorder, blocks
+
+    return level((None, None))
 
 
-def _interface_bijection(
-    a: ExtendedCospan,
-    b: ExtendedCospan,
-    side: str,
-    vmap: dict[int, int],
-) -> Optional[tuple[int, ...]]:
-    if side == "in":
-        slots_a, ext_a, strict_a = a.int_in, a.ext_in, a.strict_in_positions()
-        slots_b, ext_b, strict_b = b.int_in, b.ext_in, b.strict_in_positions()
-    else:
-        slots_a, ext_a, strict_a = a.int_out, a.ext_out, a.strict_out_positions()
-        slots_b, ext_b, strict_b = b.int_out, b.ext_out, b.strict_out_positions()
-    if len(slots_a) != len(slots_b) or len(ext_a) != len(ext_b):
-        return None
-    out: dict[int, int] = {}
-    # External slots are pinned pointwise and must commute with the carrier map.
-    for pa, pb in zip(ext_a, ext_b):
-        if vmap.get(slots_a[pa]) != slots_b[pb]:
-            return None
-        out[pa] = pb
-    blocks_a = _slot_blocks(a, slots_a, strict_a)
-    blocks_b = _slot_blocks(b, slots_b, strict_b)
-    if len(blocks_a) != len(blocks_b):
-        return None
-    for key_a, positions_a in blocks_a.items():
-        v0 = slots_a[positions_a[0]]
-        image_key = b.carrier.placement(("v", vmap[v0]))
-        positions_b = blocks_b.get(image_key)  # type: ignore[arg-type]
-        if positions_b is None or len(positions_b) != len(positions_a):
-            return None
-        # Order must be preserved within the block.
-        for pa, pb in zip(positions_a, positions_b):
-            if vmap[slots_a[pa]] != slots_b[pb]:
-                return None
-            out[pa] = pb
-    if len(out) != len(slots_a):
-        return None
-    return tuple(out[p] for p in range(len(slots_a)))
+def certificate(c: ExtendedCospan) -> Hashable:
+    """A canonical form of ``c``: two cospans have equal certificates exactly
+    when they are isomorphic (see ``iso``).  Defined when every vertex has at
+    most one producer and one consumer, as in every MDA cospan; raises
+    ``CospanError`` otherwise.  Ordered slots and ports then fix a numbering:
+    each level is walked from its slots, and only the components of a box
+    (by certificate) and the pieces no slot reaches (by their least walk)
+    are sorted."""
+    return _canonical(c)[0]
 
 
 def iso(a: ExtendedCospan, b: ExtendedCospan) -> Optional[IsoWitness]:
-    """Find an isomorphism witness between two cospans, or None.
+    """An isomorphism witness between two cospans, or None.
 
     External slots must correspond pointwise; strictly internal slots may be
     permuted blockwise (one block per box component), keeping the order of
-    slots within each block.
-    """
-    if (
-        a.arity != b.arity
-        or a.coarity != b.coarity
-        or len(a.int_in) != len(b.int_in)
-        or len(a.int_out) != len(b.int_out)
-    ):
+    slots within each block.  Decided by ``certificate``, on its domain; the
+    witness pairs the two canonical orders and is checked."""
+    (cert, vs_a, es_a, blocks_a), (cert_b, vs_b, es_b, blocks_b) = _canonical(a), _canonical(b)
+    if cert != cert_b:
         return None
-    forced: dict[int, int] = {}
-    for va, vb in zip(a.ext_in_vertices(), b.ext_in_vertices()):
-        if forced.get(va, vb) != vb:
-            return None
-        forced[va] = vb
-    for va, vb in zip(a.ext_out_vertices(), b.ext_out_vertices()):
-        if forced.get(va, vb) != vb:
-            return None
-        forced[va] = vb
-
-    def flags(c: ExtendedCospan) -> dict[int, object]:
-        ins, outs = set(c.int_in), set(c.int_out)
-        return {v: (v in ins, v in outs) for v in c.carrier.vertices}
-
-    for vmap, emap in embeddings(
-        a.carrier, b.carrier, exact=True, forced=forced, vflags=(flags(a), flags(b))
+    alpha = EHomomorphism(a.carrier, b.carrier, dict(zip(vs_a, vs_b)), dict(zip(es_a, es_b)))
+    maps: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for block_a, block_b in zip(blocks_a, blocks_b):
+        for m, ps_a, ps_b in zip(maps, block_a, block_b):
+            m.update(zip(ps_a, ps_b))
+    beta, gamma = (tuple(m.get(p, -1) for p in range(len(m))) for m in maps)
+    sides = ((beta, a.int_in, b.int_in, a.ext_in, b.ext_in),
+             (gamma, a.int_out, b.int_out, a.ext_out, b.ext_out))
+    if alpha.violations() or not alpha.is_mono() or any(
+        sorted(m) != list(range(len(sa))) or len(sa) != len(sb)
+        or any(alpha.vmap.get(sa[p]) != sb[q] for p, q in enumerate(m))
+        or [m[p] for p in ea] != list(eb)
+        for m, sa, sb, ea, eb in sides
     ):
-        beta = _interface_bijection(a, b, "in", vmap)
-        if beta is None:
-            continue
-        gamma = _interface_bijection(a, b, "out", vmap)
-        if gamma is None:
-            continue
-        alpha = EHomomorphism(dom=a.carrier, cod=b.carrier, vmap=vmap, emap=emap)
-        return IsoWitness(alpha=alpha, beta=beta, gamma=gamma)
-    return None
+        raise CospanError("certificate: equal certificates gave no isomorphism")
+    return IsoWitness(alpha=alpha, beta=beta, gamma=gamma)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +564,8 @@ def join_raw(parts: Sequence[ExtendedCospan]) -> ExtendedCospan:
     """Box a list of alternatives without deduplication.
 
     Each part becomes one consistency component of a fresh box; each part's
-    former external wires become strictly internal slots.
+    former external wires become strictly internal slots, in external order,
+    followed by the part's own strictly internal slots.
     """
     if not parts:
         raise CospanError("join of an empty list")
@@ -564,8 +584,10 @@ def join_raw(parts: Sequence[ExtendedCospan]) -> ExtendedCospan:
     for comp, part in enumerate(parts):
         # Top-level part elements become children of the fresh box.
         vmap, _ = copy_into(g, part.carrier, parent=box, component=comp)
-        int_in.extend(vmap[v] for v in part.int_in)
-        int_out.extend(vmap[v] for v in part.int_out)
+        strict_in = tuple(part.int_in[p] for p in part.strict_in_positions())
+        strict_out = tuple(part.int_out[p] for p in part.strict_out_positions())
+        int_in.extend(vmap[v] for v in part.ext_in_vertices() + strict_in)
+        int_out.extend(vmap[v] for v in part.ext_out_vertices() + strict_out)
     return ExtendedCospan(
         carrier=g,
         int_in=tuple(int_in),
@@ -575,15 +597,22 @@ def join_raw(parts: Sequence[ExtendedCospan]) -> ExtendedCospan:
     )
 
 
+def iso_classes(parts: Sequence[ExtendedCospan]) -> list[list[int]]:
+    """The indices of ``parts`` grouped up to isomorphism; classes, and the
+    members of each, in order of first appearance.  Parts are looked up by
+    certificate, and ``iso`` confirms each hit with a checked witness."""
+    classes: dict[Hashable, list[int]] = {}
+    for i, part in enumerate(parts):
+        members = classes.setdefault(certificate(part), [])
+        if members:
+            iso(part, parts[members[0]])  # checks a witness, or raises CospanError
+        members.append(i)
+    return list(classes.values())
+
+
 def join(parts: Sequence[ExtendedCospan]) -> ExtendedCospan:
     """Box a list of alternatives, deduplicating parts up to isomorphism."""
-    distinct: list[ExtendedCospan] = []
-    for part in parts:
-        if not any(iso(part, other) for other in distinct):
-            distinct.append(part)
-    if len(distinct) == 1:
-        return distinct[0].copy()
-    return join_raw(distinct)
+    return join_raw([parts[members[0]] for members in iso_classes(parts)])
 
 
 def identity_cospan(n: int) -> ExtendedCospan:

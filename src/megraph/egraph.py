@@ -422,26 +422,18 @@ def _share_producers_step(
     """Merge two isomorphic input-free producers into one shared via a copy."""
     g = host.carrier
     ext_outs = set(host.ext_out_vertices())
-    prods = _top_level_producers(host)
-    for e1, e2 in itertools.combinations(prods, 2):
-        w1, w2 = g.target[e1][0], g.target[e2][0]
-        if w1 in ext_outs or w2 in ext_outs:
-            continue
-        p1, el1 = _producer_cospan(host, e1)
-        p2, el2 = _producer_cospan(host, e2)
-        if cs.iso(p1, p2) is None:
-            continue
-        rhs = cs.compose(p1.copy(), cs.generator_cospan(dup_gen))
-        return _apply_step(
-            steps,
-            "share duplicate producer",
-            host,
-            el1 | el2,
-            [],
-            [w1, w2],
-            rhs,
-        )
-    return None
+    prods = [e for e in _top_level_producers(host) if g.target[e][0] not in ext_outs]
+    subs = [_producer_cospan(host, e) for e in prods]
+    # The first isomorphic pair in ``itertools.combinations`` order.
+    pair = next((ix for ix in cs.iso_classes([p for p, _ in subs]) if len(ix) > 1), None)
+    if pair is None:
+        return None
+    i, j = pair[:2]
+    rhs = cs.compose(subs[i][0].copy(), cs.generator_cospan(dup_gen))
+    return _apply_step(
+        steps, "share duplicate producer", host, subs[i][1] | subs[j][1], [],
+        [g.target[prods[i]][0], g.target[prods[j]][0]], rhs,
+    )
 
 
 def _merge_congruent_edges_step(
@@ -522,9 +514,10 @@ def _reshare_fixpoint(
 def _find_producer_iso(
     host: ExtendedCospan, pattern: ExtendedCospan
 ) -> Optional[tuple[int, set[Element], ExtendedCospan]]:
+    key = cs.certificate(pattern)
     for e in _top_level_producers(host):
         sub, elements = _producer_cospan(host, e)
-        if cs.iso(sub, pattern) is not None:
+        if cs.certificate(sub) == key and cs.iso(sub, pattern) is not None:
             return e, elements, sub
     return None
 

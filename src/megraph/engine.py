@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from typing import Hashable, Optional
 
 from . import cospan as cs
 from .cospan import ExtendedCospan
@@ -141,16 +141,21 @@ def saturate(c: ExtendedCospan, s: Strategy) -> SaturationResult:
     if s.bidirectional:
         rules += [r.reversed() for r in s.rules]
     boxed = [r for r in rules if any(map(r.lhs.carrier.is_box, r.lhs.carrier.edges))]
-    comps: list[ExtendedCospan] = []
-    for part in components(c):
-        if all(cs.iso(part, old) is None for old in comps):
-            comps.append(part)
+    stored: dict[Hashable, ExtendedCospan] = {}
+
+    def is_new(part: ExtendedCospan) -> bool:
+        """Store ``part`` under its certificate unless an isomorphic
+        alternative is stored there; ``iso`` confirms a hit."""
+        old = stored.setdefault(cs.certificate(part), part)
+        return old is part or cs.iso(part, old) is None
+
+    comps = [part for part in components(c) if is_new(part)]
     initial = len(comps)
 
     def add(m: Match) -> bool:
         """Store the new components of ``m``'s result; False past the budget."""
         for new in components(apply(m)):
-            if all(cs.iso(new, old) is None for old in comps):
+            if is_new(new):
                 if len(comps) - initial == s.max_steps:
                     return False
                 comps.append(new)

@@ -35,7 +35,7 @@ from .cospan import (
     PushoutPreconditionError,
     discrete,
     is_mda_well_typed,
-    iso,
+    iso_classes,
     join_raw,
     pushout,
     validate_cospan,
@@ -537,28 +537,20 @@ def _idem_instances(
 ) -> list[tuple[StructuralSchema, Match]]:
     """Drop a duplicate component, or unbox a two-component box of duplicates."""
     hg = host.carrier
-    comps = list(hg.alternatives(box))
-    dup: Optional[tuple[int, int]] = None
-    parts = {c: component_cospan(host, box, c) for c in comps}
-    for i, c1 in enumerate(comps):
-        for c2 in comps[i + 1 :]:
-            if iso(parts[c1], parts[c2]):
-                dup = (c1, c2)
-                break
-        if dup:
-            break
+    parts = [component_cospan(host, box, c) for c in hg.alternatives(box)]
+    # The earliest component with a later duplicate, and its first duplicate.
+    dup = next((ix for ix in iso_classes(parts) if len(ix) > 1), None)
     if dup is None:
         return []
-    c1, c2 = dup
     elements = down_closure(hg, [box])
     lhs, hom = extract_subdiagram(
         host, elements, list(hg.source[box]), list(hg.target[box])
     )
-    if len(comps) >= 3:
-        rhs = join_raw([parts[c] for c in comps if c != c2])
+    if len(parts) >= 3:
+        rhs = join_raw([p for i, p in enumerate(parts) if i != dup[1]])
         inst = _sibling_match(host, elements, lhs, hom, rhs, "Idem", "idem")
     else:
-        rhs = parts[c1]
+        rhs = parts[dup[0]]
         inst = _sibling_match(
             host, elements, lhs, hom, rhs, "Singleton-absorb", "singleton"
         )

@@ -2,6 +2,7 @@
 
 These deliberately avoid the library's own search code wherever practical:
 homomorphism enumeration is a direct backtracking search over raw maps, the
+isomorphism oracle filters it for bijections that line up the slots, the
 complement oracle enumerates every candidate subgraph of the host, the
 equational oracle works on term syntax only, and the saturation oracle is
 the restart-after-every-addition loop that the worklist replaced.
@@ -24,14 +25,24 @@ from megraph.rewrite import Match, apply, boundary_complement, find_matches
 # ---------------------------------------------------------------------------
 
 
-def all_homs(dom: EHypergraph, cod: EHypergraph) -> Iterator[EHomomorphism]:
-    """Every valid homomorphism dom -> cod, by exhaustive backtracking."""
+def all_homs(
+    dom: EHypergraph, cod: EHypergraph, injective: bool = False
+) -> Iterator[EHomomorphism]:
+    """Every valid homomorphism dom -> cod, by exhaustive backtracking; with
+    ``injective``, every injective one."""
     dom_edges = list(dom.edges)
 
     def extend(i: int, vmap: dict[int, int], emap: dict[int, int]):
         if i == len(dom_edges):
             free = [v for v in dom.vertices if v not in vmap]
-            for images in itertools.product(cod.vertices, repeat=len(free)):
+            if injective:
+                if len(set(vmap.values())) < len(vmap):
+                    return
+                unused = [w for w in cod.vertices if w not in set(vmap.values())]
+                choices = itertools.permutations(unused, len(free))
+            else:
+                choices = itertools.product(cod.vertices, repeat=len(free))
+            for images in choices:
                 full_v = dict(vmap)
                 full_v.update(zip(free, images))
                 h = EHomomorphism(dom=dom, cod=cod, vmap=full_v, emap=dict(emap))
@@ -40,6 +51,8 @@ def all_homs(dom: EHypergraph, cod: EHypergraph) -> Iterator[EHomomorphism]:
             return
         e = dom_edges[i]
         for d in cod.edges:
+            if injective and d in emap.values():
+                continue
             if cod.label[d] != dom.label[e]:
                 continue
             if len(cod.source[d]) != len(dom.source[e]):
@@ -62,6 +75,44 @@ def all_homs(dom: EHypergraph, cod: EHypergraph) -> Iterator[EHomomorphism]:
             del emap[e]
 
     yield from extend(0, {}, {})
+
+
+def _strict_blocks(c: ExtendedCospan, slots: tuple[int, ...], ext: tuple[int, ...]) -> dict:
+    """Strictly internal slot positions grouped by the placement of their
+    vertex, in slot order."""
+    blocks: dict = {}
+    for p, v in enumerate(slots):
+        if p not in ext:
+            blocks.setdefault(c.carrier.placement(("v", v)), []).append(p)
+    return blocks
+
+
+def iso_oracle(a: ExtendedCospan, b: ExtendedCospan) -> bool:
+    """Some bijective homomorphism of the carriers, whose inverse is one too,
+    maps a's external slots pointwise onto b's and each block of a's strict
+    slots (one per box component), in order, onto a block of b's."""
+    sides = ((a.int_in, b.int_in, a.ext_in, b.ext_in),
+             (a.int_out, b.int_out, a.ext_out, b.ext_out))
+    if any(len(sa) != len(sb) or len(ea) != len(eb) for sa, sb, ea, eb in sides):
+        return False
+
+    def lines_up(vmap: dict[int, int]) -> bool:
+        for sa, sb, ea, eb in sides:
+            if any(vmap[sa[p]] != sb[q] for p, q in zip(ea, eb)):
+                return False
+            blocks_a, blocks_b = _strict_blocks(a, sa, ea), _strict_blocks(b, sb, eb)
+            if len(blocks_a) != len(blocks_b):
+                return False
+            for ps in blocks_a.values():
+                qs = blocks_b.get(b.carrier.placement(("v", vmap[sa[ps[0]]])), [])
+                if [vmap[sa[p]] for p in ps] != [sb[q] for q in qs]:
+                    return False
+        return True
+
+    return any(
+        _is_iso_onto(h) and lines_up(h.vmap)
+        for h in all_homs(a.carrier, b.carrier, injective=True)
+    )
 
 
 def hom_equal(h1: EHomomorphism, h2: EHomomorphism) -> bool:

@@ -132,6 +132,26 @@ class TestNormalizeExtractSaturate:
         assert res.exit_code == 0
         assert res.stdout.strip() == "sym:1,1 ; f * g"
 
+    def test_saturate_keeps_the_external_order_of_a_loaded_document(self, tmp_path, sig):
+        def cross_inputs(doc):
+            doc["ext_in"] = [1, 0]
+
+        path = write_doc(tmp_path, interp("f * g"), cross_inputs, name="g.json")
+        assert RUNNER.invoke(main, ["check", path, "--sig", sig]).exit_code == 0
+        res = RUNNER.invoke(main, ["extract", path])
+        assert res.stdout.strip() == "sym:1,1 ; f * g"
+        rules = tmp_path / "rules.txt"
+        rules.write_text("r : f => h\n")
+        res = RUNNER.invoke(
+            main, ["saturate", path, "--rules", str(rules), "--sig", sig]
+        )
+        assert res.exit_code == 0
+        saturated = tmp_path / "saturated.json"
+        saturated.write_text(res.stdout)
+        res = RUNNER.invoke(main, ["extract", str(saturated)])
+        assert res.exit_code == 0
+        assert res.stdout.strip() == "sym:1,1 ; f * g"
+
     def test_extract_with_costs(self, tmp_path):
         path = write_graph(tmp_path, interp("(f ; g) + h"))
         costs = tmp_path / "costs.txt"

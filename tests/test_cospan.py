@@ -5,6 +5,7 @@ import pytest
 
 from megraph.core import EHomomorphism, EHypergraph
 from megraph.cospan import (
+    CospanError,
     ExtendedCospan,
     PushoutPreconditionError,
     compose,
@@ -98,6 +99,15 @@ class TestIso:
     def test_reflexive(self):
         c = interp("f ; (g + h)")
         assert iso(c, c) is not None
+
+    def test_a_vertex_consumed_twice_is_outside_the_domain(self):
+        g = EHypergraph()
+        v, w1, w2 = g.add_vertex(), g.add_vertex(), g.add_vertex()
+        g.add_edge("f", [v], [w1])
+        g.add_edge("g", [v], [w2])
+        c = ExtendedCospan(g, (v,), (w1, w2), (0,), (0, 1))
+        with pytest.raises(CospanError):
+            iso(c, c)
 
 
 class TestPushout:

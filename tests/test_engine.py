@@ -148,12 +148,12 @@ class TestSaturateWorklist:
         assert res.saturated and res.steps == 1
         assert same_alternatives(res.result, ["f", "g"])
 
-    @pytest.mark.parametrize("copies, steps", [(3, 19), (4, 69)])
+    @pytest.mark.parametrize("copies, steps", [(3, 19), (4, 69), (5, 251)])
     def test_swap_chain_counts(self, copies, steps):
         t0 = time.perf_counter()
         res = saturate_terms("f0 ; f1", "f1 ; f0", " ; ".join(["f0 ; f1"] * copies),
-                             sig=SWAP, bidirectional=True)
-        assert time.perf_counter() - t0 < 60
+                             sig=SWAP, bidirectional=True, max_steps=1000)
+        assert time.perf_counter() - t0 < 20
         assert res.saturated and res.steps == steps
         assert len(components(res.result)) == steps + 1
 

@@ -10,10 +10,11 @@ from megraph.core import (
     EHypergraph,
     copy_into,
     down_closure,
-    embeddings,
     identity_hom,
 )
 from megraph.cospan import (
+    ExtendedCospan,
+    certificate,
     compose,
     identity_cospan,
     is_mda_well_typed,
@@ -35,7 +36,7 @@ from megraph.rewrite import (
 from megraph.term import Comp, Gen, Join, Sym, Tensor, interpret, print_term
 
 from .helpers import BASIC, expand, interp, random_term, same_alternatives
-from .oracles import all_homs, induced, saturate_oracle
+from .oracles import all_homs, induced, iso_oracle, saturate_oracle
 
 seeds = st.integers(min_value=0, max_value=10**9)
 widths = st.integers(min_value=1, max_value=3)
@@ -204,7 +205,9 @@ def random_diagram(rng, max_elements=18):
 
 def shuffled_copy(g, rng):
     """An isomorphic copy of ``g`` whose vertices and edges are allocated in a
-    random order, so the isomorphism between the two is not the identity."""
+    random order and whose component indices are permuted per box, so the
+    isomorphism between the two is not the identity; returns the copy and
+    its vertex map."""
     vs, es = list(g.vertices), list(g.edges)
     rng.shuffle(vs)
     rng.shuffle(es)
@@ -215,11 +218,15 @@ def shuffled_copy(g, rng):
                       [vmap[v] for v in g.target[e]])
         for e in es
     }
+    perm = {}
+    for box in g.edges:
+        ks = list(g.alternatives(box))
+        perm[box] = dict(zip(ks, rng.sample(ks, len(ks))))
     for v, p in g.vparent.items():
-        h.vparent[vmap[v]], h.vcomp[vmap[v]] = emap[p], g.vcomp[v]
+        h.vparent[vmap[v]], h.vcomp[vmap[v]] = emap[p], perm[p][g.vcomp[v]]
     for e, p in g.eparent.items():
-        h.eparent[emap[e]], h.ecomp[emap[e]] = emap[p], g.ecomp[e]
-    return h
+        h.eparent[emap[e]], h.ecomp[emap[e]] = emap[p], perm[p][g.ecomp[e]]
+    return h, vmap
 
 
 def as_key(vmap, emap):
@@ -252,16 +259,89 @@ class TestMatcherAgainstOracle:
         assert len(found) == len(set(found))
         assert set(found) == expected
 
+
+# ---------------------------------------------------------------------------
+# Certificates and iso against the brute-force isomorphism oracle
+# ---------------------------------------------------------------------------
+
+
+def closed_piece(rng):
+    """``a : 0 -> 1 ; d : 1 -> 0``, with up to two unary generators between,
+    built by hand: terms of type ``0 -> 0`` are rejected."""
+    g = EHypergraph()
+    v = g.add_vertex()
+    g.add_edge("a", [], [v])
+    for _ in range(rng.randint(0, 2)):
+        w = g.add_vertex()
+        g.add_edge(rng.choice("fg"), [v], [w])
+        v = w
+    g.add_edge("d", [v], [])
+    return ExtendedCospan(g, (), (), (), ())
+
+
+def iso_diagram(rng):
+    """A random diagram, sometimes beside closed pieces, with one inside an
+    alternative, or beside two bare wires, crossed or not."""
+    c = random_diagram(rng, max_elements=14)
+    shape = rng.randrange(4)
+    if shape == 1:
+        for _ in range(rng.randint(1, 2)):
+            piece = closed_piece(rng)
+            c = tensor(c, piece) if rng.random() < 0.5 else tensor(piece, c)
+    elif shape == 2:
+        other = c.copy() if rng.random() < 0.5 else random_diagram(rng, max_elements=6)
+        if (other.arity, other.coarity) == (c.arity, c.coarity):
+            c = join_raw([tensor(c, closed_piece(rng)), other])
+    elif shape == 3:
+        c = tensor(c, rng.choice([identity_cospan(2), symmetry_cospan(1, 1)]))
+    return c
+
+
+def shuffled_cospan(c, rng, tweak=False):
+    """An isomorphic copy of ``c`` (see ``shuffled_copy``) whose slots are
+    interleaved anew, keeping the external order and the order within each
+    block of strict slots.  With ``tweak``, two slots of one block or two
+    external slots then trade places, which may break the isomorphism."""
+    h, vmap = shuffled_copy(c.carrier, rng)
+    sides = []
+    for slots, ext in ((c.int_in, c.ext_in), (c.int_out, c.ext_out)):
+        block_of = [("ext", ext.index(p)) if p in ext else c.carrier.placement(("v", v))
+                    for p, v in enumerate(slots)]
+        queues = {k: [p for p, b in enumerate(block_of) if b == k] for k in block_of}
+        order = rng.sample(block_of, len(block_of))
+        new_slots = [vmap[slots[queues[k].pop(0)]] for k in order]
+        new_ext = [order.index(("ext", i)) for i in range(len(ext))]
+        blocks = [[i for i, k in enumerate(order) if k == b] for b in dict.fromkeys(order)]
+        swaps = [(new_slots, b) for b in blocks if len(b) > 1]
+        if len(ext) > 1:
+            swaps.append((new_ext, range(len(ext))))
+        if tweak and swaps:
+            seq, among = rng.choice(swaps)
+            i, j = rng.sample(list(among), 2)
+            seq[i], seq[j] = seq[j], seq[i]
+        sides.append((tuple(new_slots), tuple(new_ext)))
+    (int_in, ext_in), (int_out, ext_out) = sides
+    return ExtendedCospan(h, int_in, int_out, ext_in, ext_out)
+
+
+class TestIsoAgainstOracle:
     @given(seeds)
     @MATCHING
-    def test_exact_embeddings_are_the_isomorphisms(self, seed):
+    def test_certificate_iso_and_the_oracle_agree(self, seed):
         rng = random.Random(seed)
-        a = random_diagram(rng).carrier
-        b = shuffled_copy(a, rng) if rng.random() < 0.8 else random_diagram(rng).carrier
-        found = [as_key(v, e) for v, e in embeddings(a, b, exact=True)]
-        expected = {as_key(h.vmap, h.emap) for h in all_homs(a, b) if is_iso(h)}
-        assert len(found) == len(set(found))
-        assert set(found) == expected
+        a = iso_diagram(rng)
+        r = rng.random()
+        b = iso_diagram(rng) if r < 0.2 else shuffled_cospan(a, rng, tweak=r > 0.7)
+        w = iso(a, b)
+        assert (certificate(a) == certificate(b)) == (w is not None) == iso_oracle(a, b)
+        if w is None:
+            return
+        assert w.alpha.is_valid() and is_iso(w.alpha)
+        for m, sa, sb, ea, eb in ((w.beta, a.int_in, b.int_in, a.ext_in, b.ext_in),
+                                  (w.gamma, a.int_out, b.int_out, a.ext_out, b.ext_out)):
+            assert sorted(m) == list(range(len(sb)))
+            assert all(w.alpha.vmap[sa[p]] == sb[q] for p, q in enumerate(m))
+            assert [m[p] for p in ea] == list(eb)
 
 
 def pulled_back(h, vmap, emap):
@@ -319,7 +399,7 @@ class TestGraphViews:
     @MATCHING
     def test_alternatives_partition_the_children(self, seed):
         rng = random.Random(seed)
-        g = shuffled_copy(random_diagram(rng).carrier, rng)  # components out of order
+        g, _ = shuffled_copy(random_diagram(rng).carrier, rng)  # components out of order
         for box in g.edges:
             children = g.children(box)
             alts = g.alternatives(box)
