@@ -11,7 +11,7 @@ nested inside boxes.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Hashable, Optional, Sequence
+from typing import Hashable, NamedTuple, Optional, Sequence
 
 from .core import (
     EHomomorphism,
@@ -181,10 +181,19 @@ class IsoWitness:
     gamma: tuple[int, ...]
 
 
-def _canonical(c: ExtendedCospan) -> tuple[tuple, list[int], list[int], list[tuple]]:
-    """The certificate of ``c``, and the order in which it numbers things:
-    the carrier's vertices, its edges, and the (input, output) slot
+class Canonical(NamedTuple):
+    """The certificate of a cospan, and the order in which it numbers
+    things: the carrier's vertices, its edges, and the (input, output) slot
     positions of each level, top level first."""
+
+    cert: tuple
+    vertices: list[int]
+    edges: list[int]
+    blocks: list[tuple]
+
+
+def canonical(c: ExtendedCospan) -> Canonical:
+    """The canonical form of ``c``: its certificate and canonical orders."""
     g = c.carrier
     if any(ind > 1 or outd > 1 for ind, outd in degrees(g).values()):
         raise CospanError("certificate: a vertex has two producers or two consumers")
@@ -257,7 +266,7 @@ def _canonical(c: ExtendedCospan) -> tuple[tuple, list[int], list[int], list[tup
                 blocks += nested_blocks
         return cert, vorder, eorder, blocks
 
-    return level((None, None))
+    return Canonical(*level((None, None)))
 
 
 def certificate(c: ExtendedCospan) -> Hashable:
@@ -268,17 +277,25 @@ def certificate(c: ExtendedCospan) -> Hashable:
     each level is walked from its slots, and only the components of a box
     (by certificate) and the pieces no slot reaches (by their least walk)
     are sorted."""
-    return _canonical(c)[0]
+    return canonical(c).cert
 
 
-def iso(a: ExtendedCospan, b: ExtendedCospan) -> Optional[IsoWitness]:
+def iso(
+    a: ExtendedCospan,
+    b: ExtendedCospan,
+    form_a: Optional[Canonical] = None,
+    form_b: Optional[Canonical] = None,
+) -> Optional[IsoWitness]:
     """An isomorphism witness between two cospans, or None.
 
     External slots must correspond pointwise; strictly internal slots may be
     permuted blockwise (one block per box component), keeping the order of
     slots within each block.  Decided by ``certificate``, on its domain; the
-    witness pairs the two canonical orders and is checked."""
-    (cert, vs_a, es_a, blocks_a), (cert_b, vs_b, es_b, blocks_b) = _canonical(a), _canonical(b)
+    witness pairs the two canonical orders and is checked.  A caller that
+    already holds ``canonical(a)`` or ``canonical(b)`` passes it as
+    ``form_a`` or ``form_b``; the witness is built and checked either way."""
+    cert, vs_a, es_a, blocks_a = form_a or canonical(a)
+    cert_b, vs_b, es_b, blocks_b = form_b or canonical(b)
     if cert != cert_b:
         return None
     alpha = EHomomorphism(a.carrier, b.carrier, dict(zip(vs_a, vs_b)), dict(zip(es_a, es_b)))
@@ -601,13 +618,14 @@ def iso_classes(parts: Sequence[ExtendedCospan]) -> list[list[int]]:
     """The indices of ``parts`` grouped up to isomorphism; classes, and the
     members of each, in order of first appearance.  Parts are looked up by
     certificate, and ``iso`` confirms each hit with a checked witness."""
-    classes: dict[Hashable, list[int]] = {}
+    classes: dict[Hashable, tuple[Canonical, list[int]]] = {}
     for i, part in enumerate(parts):
-        members = classes.setdefault(certificate(part), [])
-        if members:
-            iso(part, parts[members[0]])  # checks a witness, or raises CospanError
+        form = canonical(part)
+        first, members = classes.setdefault(form.cert, (form, []))
+        if members:  # checks a witness, or raises CospanError
+            iso(part, parts[members[0]], form, first)
         members.append(i)
-    return list(classes.values())
+    return [members for _, members in classes.values()]
 
 
 def join(parts: Sequence[ExtendedCospan]) -> ExtendedCospan:

@@ -167,36 +167,6 @@ class EGraph:
                     report.append(f"hashcons maps {cn!r} to the wrong class")
         return report
 
-    def is_acyclic(self) -> bool:
-        deps = {
-            c: {self.find(ch) for n in self.nodes(c) for ch in n.children}
-            for c in self.class_ids()
-        }
-        # Kahn over the "class uses class" relation
-        indeg = {c: 0 for c in deps}
-        for c, ds in deps.items():
-            for d in ds:
-                if d == c:
-                    return False
-                indeg[d] += 1
-        queue = [c for c, d in indeg.items() if d == 0]
-        seen = 0
-        while queue:
-            c = queue.pop()
-            seen += 1
-            for d in deps[c]:
-                indeg[d] -= 1
-                if indeg[d] == 0:
-                    queue.append(d)
-        return seen == len(deps)
-
-    def is_connected(self) -> bool:
-        ids = self.class_ids()
-        uses = [
-            (c, self.find(ch)) for c in ids for n in self.nodes(c) for ch in n.children
-        ]
-        return len(connected_components(ids, uses)) <= 1
-
     def __repr__(self) -> str:
         parts = [f"{c}: {{{', '.join(map(repr, self.nodes(c)))}}}" for c in self.class_ids()]
         return "EGraph(" + "; ".join(parts) + ")"
@@ -218,6 +188,40 @@ def egraph_of_term_tree(tree) -> tuple[EGraph, int]:
 # ---------------------------------------------------------------------------
 # Translation to cospans
 # ---------------------------------------------------------------------------
+
+NodeTable = dict[int, list[ENode]]
+
+
+def _node_table(eg: EGraph) -> NodeTable:
+    """Each canonical class's canonical nodes, sorted; classes ascending."""
+    return {c: eg.nodes(c) for c in eg.class_ids()}
+
+
+def _is_acyclic(table: NodeTable) -> bool:
+    deps = {c: {ch for n in ns for ch in n.children} for c, ns in table.items()}
+    # Kahn over the "class uses class" relation
+    indeg = {c: 0 for c in deps}
+    for c, ds in deps.items():
+        for d in ds:
+            if d == c:
+                return False
+            indeg[d] += 1
+    queue = [c for c, d in indeg.items() if d == 0]
+    seen = 0
+    while queue:
+        c = queue.pop()
+        seen += 1
+        for d in deps[c]:
+            indeg[d] -= 1
+            if indeg[d] == 0:
+                queue.append(d)
+    return seen == len(deps)
+
+
+def _is_connected(table: NodeTable) -> bool:
+    uses = [(c, ch) for c, ns in table.items() for n in ns for ch in n.children]
+    return len(connected_components(list(table), uses)) <= 1
+
 
 def _fanout(
     g: EHypergraph, src: int, k: int, elems: Optional[list[Element]] = None
@@ -292,10 +296,12 @@ def _emit_producer(
 
 @dataclass
 class _Layout:
-    """Which carrier elements each class's rendering produced, in order."""
+    """Which carrier elements each class's rendering produced, in order,
+    and the node table it was rendered from."""
 
     elems: dict[int, list[Element]]
     out: dict[int, int]
+    nodes: NodeTable
 
 
 def _render(eg: EGraph, sig: Signature) -> tuple[ExtendedCospan, _Layout]:
@@ -303,25 +309,29 @@ def _render(eg: EGraph, sig: Signature) -> tuple[ExtendedCospan, _Layout]:
     bad = eg.check_invariants()
     if bad:
         raise EGraphError("e-graph not canonical: " + bad[0])
-    if not eg.is_acyclic():
+    table = _node_table(eg)
+    empty = next((c for c, ns in table.items() if not ns), None)
+    if empty is not None:
+        raise EGraphError(f"class {empty} has no nodes")
+    if not _is_acyclic(table):
         raise EGraphError("e-graph has a cyclic class dependency")
-    if not eg.is_connected():
+    if not _is_connected(table):
         raise EGraphError("e-graph is not connected")
-    ids = eg.class_ids()
+    ids = list(table)
     if not ids:
         raise EGraphError("empty e-graph")
 
     # Occurrence list per class, in deterministic consumer order.
     uses: dict[int, list[tuple[int, int, int]]] = {c: [] for c in ids}
     for c in ids:
-        for ni, n in enumerate(eg.nodes(c)):
+        for ni, n in enumerate(table[c]):
             for si, ch in enumerate(n.children):
-                uses[eg.find(ch)].append((c, ni, si))
+                uses[ch].append((c, ni, si))
     roots = [c for c in ids if not uses[c]]
 
     g = EHypergraph()
     out = {c: g.add_vertex() for c in ids}
-    layout = _Layout(elems={c: [("v", out[c])] for c in ids}, out=dict(out))
+    layout = _Layout(elems={c: [("v", out[c])] for c in ids}, out=dict(out), nodes=table)
     wire: dict[tuple[int, int, int], int] = {}
     for c in ids:
         k = len(uses[c]) if uses[c] else 1
@@ -331,7 +341,7 @@ def _render(eg: EGraph, sig: Signature) -> tuple[ExtendedCospan, _Layout]:
     interior_ins: list[int] = []
     interior_outs: list[int] = []
     for c in ids:
-        nodes = eg.nodes(c)
+        nodes = table[c]
         slot_wires = [
             wire[(c, ni, si)]
             for ni, n in enumerate(nodes)
@@ -514,10 +524,11 @@ def _reshare_fixpoint(
 def _find_producer_iso(
     host: ExtendedCospan, pattern: ExtendedCospan
 ) -> Optional[tuple[int, set[Element], ExtendedCospan]]:
-    key = cs.certificate(pattern)
+    form = cs.canonical(pattern)
     for e in _top_level_producers(host):
         sub, elements = _producer_cospan(host, e)
-        if cs.certificate(sub) == key and cs.iso(sub, pattern) is not None:
+        sub_form = cs.canonical(sub)
+        if sub_form.cert == form.cert and cs.iso(sub, pattern, sub_form, form) is not None:
             return e, elements, sub
     return None
 
@@ -620,38 +631,38 @@ def _mapped(n: ENode, cmap: dict[int, int]) -> ENode:
     return ENode(n.head, tuple(cmap[ch] for ch in n.children))
 
 
-def _class_map(before: EGraph, after: EGraph) -> dict[int, int]:
-    """Each class of ``before`` mapped to the class of ``after`` holding its
-    nodes, bottom-up by congruence: a node is looked up in ``after``'s
-    hashcons with its children already mapped.  Class ids are never looked
-    up in ``after`` directly, since a document lists only canonical classes
-    and a class merged away is missing from it."""
+def _class_map(before: NodeTable, after: EGraph) -> dict[int, int]:
+    """Each class of ``before`` (given by its node table) mapped to the
+    class of ``after`` holding its nodes, bottom-up by congruence: a node is
+    looked up in ``after``'s hashcons with its children already mapped.
+    Class ids are never looked up in ``after`` directly, since a document
+    lists only canonical classes and a class merged away is missing from it."""
     cmap: dict[int, int] = {}
 
     def go(c: int) -> int:
         if c not in cmap:
             found = {
                 after.hashcons.get(ENode(n.head, tuple(go(ch) for ch in n.children)))
-                for n in before.nodes(c)
+                for n in before[c]
             }
             if None in found or len({after.find(a) for a in found}) != 1:
                 raise ReplayIncomplete(f"class {c} has no counterpart after the rewrite")
             cmap[c] = after.find(found.pop())
         return cmap[c]
 
-    for c in before.class_ids():
+    for c in before:
         go(c)
     return cmap
 
 
 def _mapped_uses(
-    eg: EGraph, cmap: dict[int, int]
+    table: NodeTable, cmap: dict[int, int]
 ) -> dict[int, list[tuple[int, ENode, int]]]:
     """Occurrence list per class, with consumers expressed in the vocabulary
     of the graph ``cmap`` maps into, so that two graphs compare."""
     out: dict[int, list[tuple[int, ENode, int]]] = {}
-    for c in eg.class_ids():
-        for n in eg.nodes(c):
+    for c, ns in table.items():
+        for n in ns:
             mn = _mapped(n, cmap)
             for si, ch in enumerate(n.children):
                 out.setdefault(cmap[ch], []).append((cmap[c], mn, si))
@@ -659,28 +670,29 @@ def _mapped_uses(
 
 
 def _replay_diff_composite(
-    steps: list[ReplayStep], before: EGraph, after: EGraph, sig: Signature,
+    steps: list[ReplayStep],
+    before: tuple[ExtendedCospan, _Layout],
+    after: tuple[ExtendedCospan, _Layout],
     cmap: dict[int, int],
+    groups: dict[int, list[int]],
 ) -> ExtendedCospan:
     """One composite step rewriting exactly the region of the rendered graph
-    that the e-graph transformation touched, convex-closed in the host."""
-    rb, lb = _render(before, sig)
-    ra, la = _render(after, sig)
+    that the e-graph transformation touched, convex-closed in the host.
+    ``groups`` lists the ``before`` classes that ``cmap`` sends to each
+    ``after`` class."""
+    (rb, lb), (ra, la) = before, after
     gb, ga = rb.carrier, ra.carrier
 
     # Element correspondence for classes whose rendering is unaffected.
-    ub = _mapped_uses(before, cmap)
-    ua = _mapped_uses(after, {c: c for c in after.class_ids()})
-    groups: dict[int, list[int]] = {}
-    for b in before.class_ids():
-        groups.setdefault(cmap[b], []).append(b)
+    ub = _mapped_uses(lb.nodes, cmap)
+    ua = _mapped_uses(la.nodes, {c: c for c in la.nodes})
     m: dict[Element, Element] = {}
-    for gamma in after.class_ids():
+    for gamma, ns in la.nodes.items():
         members = groups.get(gamma, [])
         if len(members) != 1:
             continue
         b = members[0]
-        if [_mapped(n, cmap) for n in before.nodes(b)] != after.nodes(gamma):
+        if [_mapped(n, cmap) for n in lb.nodes[b]] != ns:
             continue
         if ub.get(gamma, []) != ua.get(gamma, []):
             continue
@@ -755,22 +767,23 @@ def replay(
     when the scripted strategy cannot bridge the two graphs.
     """
     steps: list[ReplayStep] = []
-    cur = translate(before, sig)
-    target = translate(after, sig)
-    if cs.iso(cur, target) is not None:
-        return ReplayResult([], cur)
+    rb, lb = _render(before, sig)
+    ra, la = _render(after, sig)
+    target = cs.canonical(ra)
+    if cs.iso(rb, ra, None, target) is not None:
+        return ReplayResult([], rb)
 
-    cmap = _class_map(before, after)
+    cmap = _class_map(lb.nodes, after)
     groups: dict[int, list[int]] = {}
-    for b in before.class_ids():
+    for b in lb.nodes:
         groups.setdefault(cmap[b], []).append(b)
     changed = [
         gamma
         for gamma, members in groups.items()
         if len(members) > 1
-        or {_mapped(n, cmap) for n in before.nodes(members[0])} != set(after.nodes(gamma))
+        or {_mapped(n, cmap) for n in lb.nodes[members[0]]} != set(la.nodes[gamma])
     ]
-    fresh = [c for c in after.class_ids() if c not in groups]
+    fresh = [c for c in la.nodes if c not in groups]
 
     from .term import typecheck
 
@@ -778,10 +791,10 @@ def replay(
     if not fresh and rule_closed and any(len(groups[c]) == 2 for c in changed):
         # A merge of two existing input-free producers; upward merging is
         # absorbed by the sharing fixpoint at the end of the recipe.
-        cur = _replay_leaf_merge(steps, cur, rule[0], rule[1], sig)
+        cur = _replay_leaf_merge(steps, rb, rule[0], rule[1], sig)
     else:
-        cur = _replay_diff_composite(steps, before, after, sig, cmap)
+        cur = _replay_diff_composite(steps, (rb, lb), (ra, la), cmap, groups)
 
-    if cs.iso(cur, target) is None:
+    if cs.iso(cur, ra, None, target) is None:
         raise ReplayIncomplete("replayed result differs from the target graph")
     return ReplayResult(steps, cur)

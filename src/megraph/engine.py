@@ -141,13 +141,15 @@ def saturate(c: ExtendedCospan, s: Strategy) -> SaturationResult:
     if s.bidirectional:
         rules += [r.reversed() for r in s.rules]
     boxed = [r for r in rules if any(map(r.lhs.carrier.is_box, r.lhs.carrier.edges))]
-    stored: dict[Hashable, ExtendedCospan] = {}
+    stored: dict[Hashable, tuple[ExtendedCospan, cs.Canonical]] = {}
 
     def is_new(part: ExtendedCospan) -> bool:
         """Store ``part`` under its certificate unless an isomorphic
-        alternative is stored there; ``iso`` confirms a hit."""
-        old = stored.setdefault(cs.certificate(part), part)
-        return old is part or cs.iso(part, old) is None
+        alternative is stored there; ``iso`` confirms a hit on the two
+        canonical forms already computed."""
+        form = cs.canonical(part)
+        old, old_form = stored.setdefault(form.cert, (part, form))
+        return old is part or cs.iso(part, old, form, old_form) is None
 
     comps = [part for part in components(c) if is_new(part)]
     initial = len(comps)

@@ -173,13 +173,22 @@ def egraph_from_doc(doc: dict[str, Any]) -> EGraph:
     try:
         for cd in doc["classes"]:
             cid = int(cd["id"])
+            if cid in eg.classes:
+                raise SerializationError(f"duplicate class id {cid}")
             eg._uf[cid] = cid
             eg.classes[cid] = set()
             eg._next = max(eg._next, cid + 1)
         for cd in doc["classes"]:
             cid = int(cd["id"])
+            if not cd["nodes"]:
+                raise SerializationError(f"class {cid} has no nodes")
             for nd in cd["nodes"]:
                 n = ENode(str(nd["head"]), tuple(int(x) for x in nd["children"]))
+                unknown = next((ch for ch in n.children if ch not in eg.classes), None)
+                if unknown is not None:
+                    raise SerializationError(
+                        f"node {n!r} of class {cid} names unknown class {unknown}"
+                    )
                 eg.classes[cid].add(n)
                 eg.hashcons[n] = cid
     except (KeyError, TypeError, ValueError) as exc:

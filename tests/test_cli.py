@@ -11,6 +11,7 @@ from megraph.cospan import iso
 from megraph.egraph import egraph_of_term_tree, translate
 from megraph.serialize import dumps_cospan, dumps_egraph, loads_cospan
 
+from .fixtures import pipeline_egraphs
 from .helpers import ARITH, ARITH_SIG_TEXT, BASIC_SIG_TEXT, interp
 
 RUNNER = CliRunner()
@@ -302,6 +303,79 @@ class TestFuzzedDocuments:
             if codes["check --sig"] != 0:
                 assert codes["saturate"] != 0 and codes["rewrite"] != 0, (codes, text)
             valid += codes["check"] == 0
+        assert 0 < valid < 100
+
+
+FUZZ_EGRAPH_TREES = [("div", ("mul", "a", "two"), "two"), ("mul", "a", "a"),
+                     ("shl", ("mul", "one", "two"), ("div", "a", "one"))]
+
+
+def _mutate_egraph(doc, rng):
+    """One random corruption of an e-graph document: an unknown child id, an
+    emptied class, a repeated class id, or a value of the wrong type."""
+    classes = doc["classes"]
+    intact = [c for c in classes if isinstance(c["id"], int) and isinstance(c["nodes"], list)
+              and c["nodes"] and all(isinstance(n["children"], list) for n in c["nodes"])]
+    if not intact:
+        return
+    cd = rng.choice(intact)
+    what = rng.choice(["child", "empty", "repeat", "type"])
+    if what == "child":
+        unknown = max(c["id"] for c in intact) + rng.randint(1, 3)
+        kids = rng.choice(cd["nodes"])["children"]
+        if kids and rng.random() < 0.7:
+            kids[rng.randrange(len(kids))] = unknown
+        else:
+            kids.append(unknown)
+    elif what == "empty":
+        cd["nodes"] = []
+    elif what == "repeat":
+        other = rng.choice(classes)
+        if rng.random() < 0.5:
+            cd["id"] = other["id"]
+        else:
+            classes.append(json.loads(json.dumps(other)))
+    else:
+        bad = rng.choice(["x", None, [], {}, 1.5, "7"])
+        node = rng.choice(cd["nodes"])
+        where = rng.choice(["id", "nodes", "head", "children", "child", "classes"])
+        if where in ("id", "nodes"):
+            cd[where] = bad
+        elif where in ("head", "children"):
+            node[where] = bad
+        elif where == "child" and node["children"]:
+            node["children"][rng.randrange(len(node["children"]))] = bad
+        else:
+            doc["classes"] = bad
+
+
+def fuzz_egraph_documents(seed, count):
+    bases = [egraph_of_term_tree(t)[0] for t in FUZZ_EGRAPH_TREES] + list(pipeline_egraphs())
+    rng = random.Random(seed)
+    for i in range(count):
+        doc = json.loads(dumps_egraph(bases[i % len(bases)]))
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            if isinstance(doc["classes"], list) and doc["classes"]:
+                _mutate_egraph(doc, rng)
+        yield json.dumps(doc)
+
+
+class TestFuzzedEGraphDocuments:
+    def test_no_traceback_and_exit_0_only_on_valid_input(self, tmp_path, arith_sig):
+        valid = 0
+        for i, text in enumerate(fuzz_egraph_documents(seed=5, count=100)):
+            path = tmp_path / f"eg{i}.json"
+            path.write_text(text)
+            res = RUNNER.invoke(main, ["import-egraph", str(path), "--sig", arith_sig])
+            where = f"import-egraph on document {i}: {text}"
+            assert res.exit_code in (0, 1), where
+            assert res.exception is None or isinstance(res.exception, SystemExit), where
+            assert "Traceback" not in res.output, where
+            if res.exit_code == 0:
+                out = tmp_path / f"g{i}.json"
+                out.write_text(res.stdout)
+                assert RUNNER.invoke(main, ["check", str(out)]).exit_code == 0, where
+                valid += 1
         assert 0 < valid < 100
 
 

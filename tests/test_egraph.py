@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from megraph import egraph
 from megraph.core import validate
 from megraph.cospan import is_mda_well_typed, iso, validate_cospan
 from megraph.egraph import (
@@ -113,6 +114,12 @@ class TestTranslate:
         with pytest.raises(EGraphError):
             translate(eg, ARITH)
 
+    def test_class_without_nodes_rejected(self):
+        eg, root = egraph_of_term_tree(("mul", "a", "two"))
+        eg.classes[root] = set()
+        with pytest.raises(EGraphError, match="no nodes"):
+            translate(eg, ARITH)
+
     def test_cyclic_egraph_rejected(self):
         eg = EGraph()
         a = eg.add(ENode("a", ()))
@@ -175,6 +182,29 @@ class TestReplay:
         res = replay(before, rule, after, ARITH)
         assert [s.description for s in res.steps] == ["rewrite changed region"]
         assert iso(res.result, translate(after, ARITH)) is not None
+
+    @pytest.mark.parametrize("case", ["noop", "composite", "leaf merge"])
+    def test_each_egraph_is_rendered_once(self, case, monkeypatch):
+        renders = []
+        real_render = egraph._render
+
+        def render(eg, sig):
+            renders.append(eg)
+            return real_render(eg, sig)
+
+        monkeypatch.setattr(egraph, "_render", render)
+        if case == "noop":
+            before, _ = egraph_of_term_tree(("mul", "a", "two"))
+            args = (before, (parse("a"), parse("a")), before.copy(), ARITH)
+        elif case == "composite":
+            eg0, eg1, _ = pipeline_egraphs()
+            args = (eg0, pipeline_rules()[0], eg1, ARITH)
+        else:
+            before, after = leaf_merge_egraphs()
+            args = (before, leaf_merge_rule(), after, FIG14)
+        res = replay(*args)
+        assert renders == [args[0], args[2]]
+        assert (res.steps == []) == (case == "noop")
 
     def test_class_without_counterpart_is_reported(self):
         before, _ = egraph_of_term_tree(("mul", "a", "two"))

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from megraph import cospan as cs, engine
 from megraph.cospan import identity_cospan, is_mda_well_typed, iso, join_raw
 from megraph.engine import (
     CostModel,
@@ -156,6 +157,29 @@ class TestSaturateWorklist:
         assert time.perf_counter() - t0 < 20
         assert res.saturated and res.steps == steps
         assert len(components(res.result)) == steps + 1
+
+    def test_one_canonical_form_per_candidate_component(self, monkeypatch):
+        # Every component that saturate considers is canonicalised once:
+        # ``iso`` confirms a certificate hit on the forms already computed.
+        counts = {"canonical": 0, "candidates": 0}
+        real_canonical, real_components = cs.canonical, engine.components
+
+        def canonical(c):
+            counts["canonical"] += 1
+            return real_canonical(c)
+
+        def candidates(c):
+            parts = real_components(c)
+            counts["candidates"] += len(parts)
+            return parts
+
+        monkeypatch.setattr(cs, "canonical", canonical)
+        monkeypatch.setattr(engine, "components", candidates)
+        res = saturate_terms("f0 ; f1", "f1 ; f0", " ; ".join(["f0 ; f1"] * 4),
+                             sig=SWAP, bidirectional=True)
+        assert res.saturated and res.steps == 69
+        assert counts["candidates"] > 69
+        assert counts["canonical"] == counts["candidates"]
 
 
 class TestExtract:

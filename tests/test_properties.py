@@ -14,6 +14,7 @@ from megraph.core import (
 )
 from megraph.cospan import (
     ExtendedCospan,
+    canonical,
     certificate,
     compose,
     identity_cospan,
@@ -334,6 +335,14 @@ class TestIsoAgainstOracle:
         b = iso_diagram(rng) if r < 0.2 else shuffled_cospan(a, rng, tweak=r > 0.7)
         w = iso(a, b)
         assert (certificate(a) == certificate(b)) == (w is not None) == iso_oracle(a, b)
+        # Forms computed by the caller give the same answer and witness.
+        form_a, form_b = canonical(a), canonical(b)
+        for given_a, given_b in ((form_a, form_b), (form_a, None), (None, form_b)):
+            v = iso(a, b, given_a, given_b)
+            assert (v is None) == (w is None)
+            if v is not None:
+                assert (v.alpha.vmap, v.alpha.emap, v.beta, v.gamma) == \
+                    (w.alpha.vmap, w.alpha.emap, w.beta, w.gamma)
         if w is None:
             return
         assert w.alpha.is_valid() and is_iso(w.alpha)

@@ -1,5 +1,7 @@
 """Round-trip tests for the structured-text graph/diagram/e-graph formats."""
 
+import json
+
 import pytest
 
 from megraph.cospan import iso, join
@@ -71,3 +73,13 @@ class TestEGraphRoundTrip:
     def test_garbage_is_rejected(self):
         with pytest.raises(SerializationError):
             loads_egraph("nonsense")
+
+    @pytest.mark.parametrize("classes, message", [
+        ([{"id": 0, "nodes": [{"head": "mul", "children": [0, 7]}]}], "unknown class 7"),
+        ([{"id": 0, "nodes": []}], "class 0 has no nodes"),
+        ([{"id": 0, "nodes": [{"head": "a", "children": []}]},
+          {"id": 0, "nodes": [{"head": "mul", "children": [0, 0]}]}], "duplicate class id 0"),
+    ])
+    def test_malformed_classes_are_named(self, classes, message):
+        with pytest.raises(SerializationError, match=message):
+            loads_egraph(json.dumps({"classes": classes}))
