@@ -137,6 +137,8 @@ def interp(term_text: str, sig_path: str, cartesian: bool) -> None:
 def rewrite(graph: str, rules_path: str, sig_path: str, cartesian: bool,
             mode: str, budget: int) -> None:
     """Apply rewrite rules to a diagram."""
+    if budget < 0:
+        raise _fail("--budget must be non-negative")
     sig = _load_sig(sig_path, cartesian)
     c = _load_valid_cospan(graph, sig)
     try:

@@ -363,30 +363,12 @@ def degrees(g: EHypergraph) -> dict[int, tuple[int, int]]:
 
 def is_acyclic(g: EHypergraph) -> bool:
     """True when no directed path of edges returns to its starting edge."""
-    enext: dict[int, set[int]] = {e: set() for e in g.edges}
     produced: dict[int, list[int]] = {}
     for e in g.edges:
         for v in g.target[e]:
             produced.setdefault(v, []).append(e)
-    for e in g.edges:
-        for v in g.source[e]:
-            for d in produced.get(v, ()):
-                enext[d].add(e)
-    # Kahn-style cycle detection over the edge graph.
-    indeg = {e: 0 for e in g.edges}
-    for e, outs in enext.items():
-        for d in outs:
-            indeg[d] += 1
-    queue = [e for e, k in indeg.items() if k == 0]
-    seen = 0
-    while queue:
-        e = queue.pop()
-        seen += 1
-        for d in enext[e]:
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                queue.append(d)
-    return seen == len(g.edges)
+    return acyclic(g.edges, ((d, e) for e in g.edges for v in g.source[e]
+                             for d in produced.get(v, ())))
 
 
 def down_closure(g: EHypergraph, seed: Iterable[int]) -> set[Element]:
@@ -477,6 +459,25 @@ def connected_components(nodes: Iterable[T], links: Iterable[tuple[T, T]]) -> li
                     todo.append(m)
         out.append(members)
     return out
+
+
+def acyclic(nodes: Iterable[T], links: Iterable[tuple[T, T]]) -> bool:
+    """True when the directed ``links`` between ``nodes`` close no cycle
+    (Kahn: repeatedly remove a node that no remaining link enters)."""
+    succ: dict[T, list[T]] = {n: [] for n in nodes}
+    indeg = dict.fromkeys(succ, 0)
+    for a, b in links:
+        succ[a].append(b)
+        indeg[b] += 1
+    queue = [n for n, k in indeg.items() if k == 0]
+    seen = 0
+    while queue:
+        seen += 1
+        for m in succ[queue.pop()]:
+            indeg[m] -= 1
+            if indeg[m] == 0:
+                queue.append(m)
+    return seen == len(succ)
 
 
 def embeddings(

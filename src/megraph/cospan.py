@@ -378,86 +378,54 @@ def pushout(left: EHomomorphism, right: EHomomorphism) -> PushoutResult:
 
     The result is the disjoint union with glue-point vertices identified,
     edges kept apart, and nesting/consistency data propagated onto glued-in
-    material that ends up (transitively connected) inside a box.
+    material that ends up (transitively connected) inside a box.  Vertices
+    are allocated X first, then the unglued Y ones; edges X first, then Y.
     """
     if left.dom is not right.dom:
         raise ValueError("pushout legs must share their domain")
     violated = check_pushout_preconditions(left, right)
     if violated:
         raise PushoutPreconditionError(violated)
-    z, x, y = left.dom, left.cod, right.cod
-
+    sides = {"X": left.cod, "Y": right.cod}
     uf = _UnionFind()
-    for v in z.vertices:
+    for v in left.dom.vertices:
         uf.union(("X", left.vmap[v]), ("Y", right.vmap[v]))
-    for v in x.vertices:
-        uf.find(("X", v))
-    for v in y.vertices:
-        uf.find(("Y", v))
 
-    # Vertex classes in deterministic order: X vertices first, then unglued Y.
-    classes: dict = {}
-    members: dict = {}
-    order: list = []
-    for tag, g in (("X", x), ("Y", y)):
+    # Vertex and edge ids are numbered apart, so building X whole and then Y
+    # gives both orders above.
+    p = EHypergraph()
+    vclass: dict[tuple, int] = {}
+    vmaps: dict[str, dict[int, int]] = {}
+    emaps: dict[str, dict[int, int]] = {}
+    for tag, g in sides.items():
+        vmaps[tag] = vm = {}
         for v in g.vertices:
             root = uf.find((tag, v))
-            members.setdefault(root, []).append((tag, v))
-            if root not in classes:
-                classes[root] = None
-                order.append(root)
-
-    p = EHypergraph()
-    vclass: dict = {}
-    for root in order:
-        vclass[root] = p.add_vertex()
-    exmap: dict[int, int] = {}
-    eymap: dict[int, int] = {}
-    for e in x.edges:
-        exmap[e] = p.add_edge(
-            x.label[e],
-            [vclass[uf.find(("X", v))] for v in x.source[e]],
-            [vclass[uf.find(("X", v))] for v in x.target[e]],
-        )
-    for e in y.edges:
-        eymap[e] = p.add_edge(
-            y.label[e],
-            [vclass[uf.find(("Y", v))] for v in y.source[e]],
-            [vclass[uf.find(("Y", v))] for v in y.target[e]],
-        )
+            if root not in vclass:
+                vclass[root] = p.add_vertex()
+            vm[v] = vclass[root]
+        emaps[tag] = {e: p.add_edge(g.label[e], [vm[v] for v in g.source[e]],
+                                    [vm[v] for v in g.target[e]]) for e in g.edges}
 
     # Placement of each result element, with component keys namespaced per
     # side; merged keys tracked by union-find.
     comp_uf = _UnionFind()
     parent_of: dict[Element, int] = {}
     compkey_of: dict[Element, tuple] = {}
-
-    def record(elem: Element, parent: int, key: tuple) -> None:
-        if elem in parent_of:
-            if parent_of[elem] != parent:
-                raise PushoutPreconditionError(
-                    [2], "glued elements nested in different boxes"
-                )
-            comp_uf.union(compkey_of[elem], key)
-        else:
-            parent_of[elem] = parent
-            compkey_of[elem] = key
-
-    for root in order:
-        for tag, v in members[root]:
-            g = x if tag == "X" else y
-            pe = g.vparent.get(v)
-            if pe is not None:
-                pp = exmap[pe] if tag == "X" else eymap[pe]
-                record(("v", vclass[root]), pp, (tag, pe, g.vcomp[v]))
-    for e in x.edges:
-        pe = x.eparent.get(e)
-        if pe is not None:
-            record(("e", exmap[e]), exmap[pe], ("X", pe, x.ecomp[e]))
-    for e in y.edges:
-        pe = y.eparent.get(e)
-        if pe is not None:
-            record(("e", eymap[e]), eymap[pe], ("Y", pe, y.ecomp[e]))
+    for tag, g in sides.items():
+        em = emaps[tag]
+        for kind, imap, nest, comp in (("v", vmaps[tag], g.vparent, g.vcomp),
+                                       ("e", em, g.eparent, g.ecomp)):
+            for i, pe in nest.items():
+                elem, key = (kind, imap[i]), (tag, pe, comp[i])
+                if elem not in parent_of:
+                    parent_of[elem], compkey_of[elem] = em[pe], key
+                elif parent_of[elem] != em[pe]:
+                    raise PushoutPreconditionError(
+                        [2], "glued elements nested in different boxes"
+                    )
+                else:
+                    comp_uf.union(compkey_of[elem], key)
 
     # Propagate nesting along undirected connectivity: a parentless element
     # connected to a placed one joins its box and component class.
@@ -471,43 +439,35 @@ def pushout(left: EHomomorphism, right: EHomomorphism) -> PushoutResult:
             raise PushoutPreconditionError(
                 [2], "connected glued material spans different boxes"
             )
-        parent = parents.pop()
-        key0 = compkey_of[placed[0]]
-        for el in placed[1:]:
-            comp_uf.union(key0, compkey_of[el])
+        parent, key0 = parents.pop(), compkey_of[placed[0]]
         for el in comp_elems:
-            if el not in parent_of:
-                parent_of[el] = parent
-                compkey_of[el] = key0
+            if el in parent_of:
+                comp_uf.union(key0, compkey_of[el])
+            else:
+                parent_of[el], compkey_of[el] = parent, key0
 
     # Renumber component classes per box, in order of first appearance.
-    comp_index: dict[tuple[int, object], int] = {}
-    counters: dict[int, int] = {}
+    comp_index: dict[int, dict] = {}
     for el in p.elements():
-        if el not in parent_of:
-            continue
-        parent = parent_of[el]
-        key = comp_uf.find(compkey_of[el])
-        idx = comp_index.get((parent, key))
-        if idx is None:
-            idx = counters.get(parent, 0)
-            counters[parent] = idx + 1
-            comp_index[(parent, key)] = idx
-        kind, i = el
-        if kind == "v":
-            p.vparent[i] = parent
-            p.vcomp[i] = idx
-        else:
-            p.eparent[i] = parent
-            p.ecomp[i] = idx
+        if el in parent_of:
+            parent = parent_of[el]
+            index = comp_index.setdefault(parent, {})
+            idx = index.setdefault(comp_uf.find(compkey_of[el]), len(index))
+            kind, i = el
+            nest, comp = (p.vparent, p.vcomp) if kind == "v" else (p.eparent, p.ecomp)
+            nest[i], comp[i] = parent, idx
+    return PushoutResult(p, EHomomorphism(sides["X"], p, vmaps["X"], emaps["X"]),
+                         EHomomorphism(sides["Y"], p, vmaps["Y"], emaps["Y"]))
 
-    inj_left = EHomomorphism(
-        dom=x, cod=p, vmap={v: vclass[uf.find(("X", v))] for v in x.vertices}, emap=exmap
-    )
-    inj_right = EHomomorphism(
-        dom=y, cod=p, vmap={v: vclass[uf.find(("Y", v))] for v in y.vertices}, emap=eymap
-    )
-    return PushoutResult(obj=p, inj_left=inj_left, inj_right=inj_right)
+
+def glue(x: EHypergraph, xs: Sequence[int], y: EHypergraph, ys: Sequence[int]) -> PushoutResult:
+    """The pushout of ``x`` and ``y`` along a discrete interface, where
+    ``xs[i]`` meets ``ys[i]``."""
+    if len(xs) != len(ys):
+        raise ValueError("glue: interfaces of different lengths")
+    z = discrete(len(xs))
+    return pushout(EHomomorphism(z, x, dict(zip(z.vertices, xs))),
+                   EHomomorphism(z, y, dict(zip(z.vertices, ys))))
 
 
 def discrete(n: int) -> EHypergraph:
@@ -528,50 +488,26 @@ def compose(f: ExtendedCospan, g: ExtendedCospan) -> ExtendedCospan:
         raise CospanError(
             f"composition mismatch: {f.coarity} outputs vs {g.arity} inputs"
         )
-    z = discrete(f.coarity)
-    leg_f = EHomomorphism(
-        dom=z,
-        cod=f.carrier,
-        vmap={z.vertices[i]: f.ext_out_vertices()[i] for i in range(f.coarity)},
-        emap={},
-    )
-    leg_g = EHomomorphism(
-        dom=z,
-        cod=g.carrier,
-        vmap={z.vertices[i]: g.ext_in_vertices()[i] for i in range(g.arity)},
-        emap={},
-    )
     try:
-        po = pushout(leg_f, leg_g)
+        po = glue(f.carrier, f.ext_out_vertices(), g.carrier, g.ext_in_vertices())
     except PushoutPreconditionError as exc:  # pragma: no cover - internal bug class
         raise CospanError(f"internal error: composition pushout failed: {exc}") from exc
-    p1, p2 = po.inj_left, po.inj_right
-    int_in = tuple(p1.vmap[v] for v in f.int_in) + tuple(
-        p2.vmap[g.int_in[q]] for q in g.strict_in_positions()
+    p1, p2 = po.inj_left.vmap, po.inj_right.vmap
+    int_in = tuple(p1[v] for v in f.int_in) + tuple(
+        p2[g.int_in[q]] for q in g.strict_in_positions()
     )
-    int_out = tuple(p2.vmap[v] for v in g.int_out) + tuple(
-        p1.vmap[f.int_out[q]] for q in f.strict_out_positions()
+    int_out = tuple(p2[v] for v in g.int_out) + tuple(
+        p1[f.int_out[q]] for q in f.strict_out_positions()
     )
-    return ExtendedCospan(
-        carrier=po.obj,
-        int_in=int_in,
-        int_out=int_out,
-        ext_in=f.ext_in,
-        ext_out=g.ext_out,
-    )
+    return ExtendedCospan(po.obj, int_in, int_out, f.ext_in, g.ext_out)
 
 
 def tensor(f: ExtendedCospan, g: ExtendedCospan) -> ExtendedCospan:
     """Parallel composition: disjoint union with concatenated interfaces."""
-    z = discrete(0)
-    leg_f = EHomomorphism(dom=z, cod=f.carrier, vmap={}, emap={})
-    leg_g = EHomomorphism(dom=z, cod=g.carrier, vmap={}, emap={})
-    po = pushout(leg_f, leg_g)
-    p1, p2 = po.inj_left, po.inj_right
-    int_in = tuple(p1.vmap[v] for v in f.int_in) + tuple(p2.vmap[v] for v in g.int_in)
-    int_out = tuple(p1.vmap[v] for v in f.int_out) + tuple(
-        p2.vmap[v] for v in g.int_out
-    )
+    po = glue(f.carrier, (), g.carrier, ())
+    p1, p2 = po.inj_left.vmap, po.inj_right.vmap
+    int_in = tuple(p1[v] for v in f.int_in) + tuple(p2[v] for v in g.int_in)
+    int_out = tuple(p1[v] for v in f.int_out) + tuple(p2[v] for v in g.int_out)
     ext_in = f.ext_in + tuple(p + len(f.int_in) for p in g.ext_in)
     ext_out = f.ext_out + tuple(p + len(f.int_out) for p in g.ext_out)
     return ExtendedCospan(po.obj, int_in, int_out, ext_in, ext_out)

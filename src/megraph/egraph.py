@@ -22,6 +22,7 @@ from .core import (
     EHypergraph,
     Element,
     Signature,
+    acyclic,
     connected_components,
     down_closure,
     reach,
@@ -35,7 +36,7 @@ from .rewrite import (
     extract_subdiagram,
     find_matches,
 )
-from .term import Term, interpret
+from .term import Term, interpret, typecheck
 
 
 class EGraphError(Exception):
@@ -197,35 +198,7 @@ def _node_table(eg: EGraph) -> NodeTable:
     return {c: eg.nodes(c) for c in eg.class_ids()}
 
 
-def _is_acyclic(table: NodeTable) -> bool:
-    deps = {c: {ch for n in ns for ch in n.children} for c, ns in table.items()}
-    # Kahn over the "class uses class" relation
-    indeg = {c: 0 for c in deps}
-    for c, ds in deps.items():
-        for d in ds:
-            if d == c:
-                return False
-            indeg[d] += 1
-    queue = [c for c, d in indeg.items() if d == 0]
-    seen = 0
-    while queue:
-        c = queue.pop()
-        seen += 1
-        for d in deps[c]:
-            indeg[d] -= 1
-            if indeg[d] == 0:
-                queue.append(d)
-    return seen == len(deps)
-
-
-def _is_connected(table: NodeTable) -> bool:
-    uses = [(c, ch) for c, ns in table.items() for n in ns for ch in n.children]
-    return len(connected_components(list(table), uses)) <= 1
-
-
-def _fanout(
-    g: EHypergraph, src: int, k: int, elems: Optional[list[Element]] = None
-) -> list[int]:
+def _fanout(g: EHypergraph, src: int, k: int, elems: list[Element]) -> list[int]:
     """k wires carrying copies of ``src``, via a left-leaning chain of copies."""
     if k <= 0:
         raise EGraphError("fan-out of a wire with no consumers")
@@ -235,8 +208,7 @@ def _fanout(
         w = g.add_vertex()
         nxt = g.add_vertex()
         d = g.add_edge(COPY, [cur], [w, nxt])
-        if elems is not None:
-            elems.extend([("e", d), ("v", w), ("v", nxt)])
+        elems.extend([("e", d), ("v", w), ("v", nxt)])
         wires.append(w)
         cur = nxt
     wires.append(cur)
@@ -262,34 +234,34 @@ def _emit_producer(
     out: int,
     interior_ins: list[int],
     interior_outs: list[int],
-    elems: Optional[list[Element]] = None,
+    elems: list[Element],
 ) -> None:
     """One class's producer: a plain edge for a singleton class, otherwise a
     hierarchical edge with one component per node; sibling nodes' input slots
-    are consumed by explicit discards inside each component."""
-    rec = elems if elems is not None else []
+    are consumed by explicit discards inside each component.  Every element
+    made is appended to ``elems``."""
     if len(nodes) == 1:
         n = nodes[0]
         _node_arity(sig, n)
-        rec.append(("e", g.add_edge(n.head, list(slot_wires), [out])))
+        elems.append(("e", g.add_edge(n.head, list(slot_wires), [out])))
         return
     arities = [_node_arity(sig, n) for n in nodes]
     offsets = [sum(arities[:i]) for i in range(len(nodes))]
     total = sum(arities)
     box = g.add_edge(None, list(slot_wires), [out])
-    rec.append(("e", box))
+    elems.append(("e", box))
     for i, n in enumerate(nodes):
         us = [g.add_vertex(parent=box, component=i) for _ in range(total)]
         w = g.add_vertex(parent=box, component=i)
-        rec.extend(("v", u) for u in us)
-        rec.append(("v", w))
+        elems.extend(("v", u) for u in us)
+        elems.append(("v", w))
         own = range(offsets[i], offsets[i] + arities[i])
         ge = g.add_edge(n.head, [us[s] for s in own], [w], parent=box, component=i)
-        rec.append(("e", ge))
+        elems.append(("e", ge))
         for s in range(total):
             if s not in own:
                 de = g.add_edge(DISCARD, [us[s]], [], parent=box, component=i)
-                rec.append(("e", de))
+                elems.append(("e", de))
         interior_ins.extend(us)
         interior_outs.append(w)
 
@@ -313,9 +285,10 @@ def _render(eg: EGraph, sig: Signature) -> tuple[ExtendedCospan, _Layout]:
     empty = next((c for c, ns in table.items() if not ns), None)
     if empty is not None:
         raise EGraphError(f"class {empty} has no nodes")
-    if not _is_acyclic(table):
+    deps = [(c, ch) for c, ns in table.items() for n in ns for ch in n.children]
+    if not acyclic(table, deps):
         raise EGraphError("e-graph has a cyclic class dependency")
-    if not _is_connected(table):
+    if len(connected_components(table, deps)) > 1:
         raise EGraphError("e-graph is not connected")
     ids = list(table)
     if not ids:
@@ -335,7 +308,7 @@ def _render(eg: EGraph, sig: Signature) -> tuple[ExtendedCospan, _Layout]:
     wire: dict[tuple[int, int, int], int] = {}
     for c in ids:
         k = len(uses[c]) if uses[c] else 1
-        ws = _fanout(g, out[c], k, elems=layout.elems[c])
+        ws = _fanout(g, out[c], k, layout.elems[c])
         for slot, w in zip(uses[c], ws):
             wire[slot] = w
     interior_ins: list[int] = []
@@ -348,8 +321,7 @@ def _render(eg: EGraph, sig: Signature) -> tuple[ExtendedCospan, _Layout]:
             for si in range(len(n.children))
         ]
         _emit_producer(
-            g, sig, nodes, slot_wires, out[c], interior_ins, interior_outs,
-            elems=layout.elems[c],
+            g, sig, nodes, slot_wires, out[c], interior_ins, interior_outs, layout.elems[c]
         )
 
     int_out = tuple(out[c] for c in roots) + tuple(interior_outs)
@@ -784,8 +756,6 @@ def replay(
         or {_mapped(n, cmap) for n in lb.nodes[members[0]]} != set(la.nodes[gamma])
     ]
     fresh = [c for c in la.nodes if c not in groups]
-
-    from .term import typecheck
 
     rule_closed = typecheck(rule[0], sig).dom == 0
     if not fresh and rule_closed and any(len(groups[c]) == 2 for c in changed):

@@ -92,19 +92,23 @@ def normalize(
     used to probe order-independence.  A box beside a bare wire (as in
     ``(f + g) * id:1``) has no tensor-distribution step, because no match
     exists for a left-hand side with a bare wire; such a box is left
-    unnormalized.  Raises :class:`EngineError` when the step budget is
-    exhausted.
+    unnormalized.  Raises :class:`EngineError` when a step is still
+    available after ``budget`` steps, and for a negative budget or an unknown
+    order.
     """
-    cur = c
-    for _ in range(budget):
-        ms = structural_matches(cur)
-        if not ms:
-            # Rejoined from its components, a top-level box has its wires in
-            # external-interface order, whatever order the steps left them in.
-            return cs.join(components(cur))
+    if budget < 0:
+        raise EngineError("normalization budget must be non-negative")
+    if order not in ("first", "last"):
+        raise EngineError(f"unknown normalization order {order!r}")
+    cur, steps = c, 0
+    while ms := structural_matches(cur):
+        if steps == budget:
+            raise EngineError("normalization step budget exceeded")
         _, match = ms[0] if order == "first" else ms[-1]
-        cur = apply(match)
-    raise EngineError("normalization step budget exceeded")
+        cur, steps = apply(match), steps + 1
+    # Rejoined from its components, a top-level box has its wires in
+    # external-interface order, whatever order the steps left them in.
+    return cs.join(components(cur))
 
 
 # ---------------------------------------------------------------------------
@@ -260,13 +264,13 @@ def term_of(c: ExtendedCospan) -> tm.Term:
             parts.append(t)
 
     while remaining:
-        ready = sorted(
-            e for e in remaining if all(s in set(avail) for s in g.source[e])
-        )
+        have = set(avail)
+        ready = sorted(e for e in remaining if have.issuperset(g.source[e]))
         if not ready:
             raise EngineError("diagram is not acyclic")
         consumed = [s for e in ready for s in g.source[e]]
-        rest = [w for w in avail if w not in set(consumed)]
+        used = set(consumed)
+        rest = [w for w in avail if w not in used]
         emit(_perm_term(avail, consumed + rest))
         layer: Optional[tm.Term] = None
         for e in ready:

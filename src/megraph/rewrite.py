@@ -33,11 +33,10 @@ from .core import (
 from .cospan import (
     ExtendedCospan,
     PushoutPreconditionError,
-    discrete,
+    glue,
     is_mda_well_typed,
     iso_classes,
     join_raw,
-    pushout,
     validate_cospan,
 )
 from .term import Term, interpret, typecheck
@@ -139,12 +138,9 @@ def _glue_vertices(m: Match) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def _interface_images_admissible(host: EHypergraph, vs: Sequence[int]) -> bool:
-    """All glue images top-level, or all in one box component with equal ancestry."""
-    placements = {host.placement(("v", v)) for v in vs}
-    if len(placements) > 1:
-        return False
-    ancestries = {tuple(host.ancestors(("v", v))) for v in vs}
-    return len(ancestries) <= 1
+    """All glue images top-level, or all in one box component (and so with
+    one chain of ancestors)."""
+    return len({host.placement(("v", v)) for v in vs}) <= 1
 
 
 def find_matches(rule: RewriteRule, host: ExtendedCospan) -> list[Match]:
@@ -207,37 +203,61 @@ class Complement:
     kept_int_out: tuple[int, ...]
     in_glue: tuple[int, ...]
     out_glue: tuple[int, ...]
-    top_level: bool
     host: ExtendedCospan
 
+    @property
+    def top_level(self) -> bool:
+        """Whether the glue vertices, and so the hole, are at the top level."""
+        return all(self.graph.vparent.get(v) is None for v in self.in_glue + self.out_glue)
+
+    def host_ext(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The positions of the host's external slots among the kept slots."""
+
+        def place(kept: tuple[int, ...], slots: tuple[int, ...], ext: tuple[int, ...]):
+            pos = {v: p for p, v in enumerate(kept)}
+            return tuple(pos[slots[p]] for p in ext)
+
+        h = self.host
+        return (place(self.kept_int_in, h.int_in, h.ext_in),
+                place(self.kept_int_out, h.int_out, h.ext_out))
+
     def as_cospan(self) -> ExtendedCospan:
-        int_in = self.kept_int_in + self.in_glue
-        int_out = self.kept_int_out + self.out_glue
-        pos_in = {v: p for p, v in enumerate(self.kept_int_in)}
-        ext_in = [pos_in[self.host.int_in[p]] for p in self.host.ext_in]
-        pos_out = {v: p for p, v in enumerate(self.kept_int_out)}
-        ext_out = [pos_out[self.host.int_out[p]] for p in self.host.ext_out]
+        """The hole as a cospan; its glue slots are external at the top level."""
+        int_in, int_out = self.kept_int_in + self.in_glue, self.kept_int_out + self.out_glue
+        ext_in, ext_out = self.host_ext()
         if self.top_level:
-            base_in = len(self.kept_int_in)
-            ext_in += list(range(base_in, base_in + len(self.in_glue)))
-            base_out = len(self.kept_int_out)
-            ext_out += list(range(base_out, base_out + len(self.out_glue)))
-        return ExtendedCospan(
-            self.graph, int_in, int_out, tuple(ext_in), tuple(ext_out)
-        )
+            ext_in += tuple(range(len(self.kept_int_in), len(int_in)))
+            ext_out += tuple(range(len(self.kept_int_out), len(int_out)))
+        return ExtendedCospan(self.graph, int_in, int_out, ext_in, ext_out)
+
+
+def _hole(
+    host: ExtendedCospan, rm_v: set[int], rm_e: set[int],
+    in_glue: tuple[int, ...], out_glue: tuple[int, ...],
+) -> Complement:
+    """``host`` minus the given vertices and edges, to be refilled along
+    ``in_glue`` and ``out_glue``."""
+    return Complement(
+        graph=host.carrier.without(rm_v, rm_e),
+        kept_int_in=tuple(v for v in host.int_in if v not in rm_v),
+        kept_int_out=tuple(v for v in host.int_out if v not in rm_v),
+        in_glue=in_glue,
+        out_glue=out_glue,
+        host=host,
+    )
 
 
 def boundary_complement(m: Match) -> Complement:
     hg = m.host.carrier
     gi, go = _glue_vertices(m)
-    glue = gi + go
+    points = gi + go
     # Condition (2): the combined gluing map must be injective.
-    if len(set(glue)) != len(glue):
+    if len(set(points)) != len(points):
         raise NoComplement(2, "external input and output images overlap")
     # Conditions (3): interface images uniformly placed in the host.
-    if not _interface_images_admissible(hg, glue):
+    if not _interface_images_admissible(hg, points):
         raise NoComplement(3, "interface images not uniformly placed")
-    removed_v = set(m.hom.vmap.values()) - set(glue)
+    removed_v = set(m.hom.vmap.values()) - set(points)
     removed_e = set(m.hom.emap.values())
     # No dangling incidence or dangling nesting may remain.
     for e in hg.edges:
@@ -245,31 +265,21 @@ def boundary_complement(m: Match) -> Complement:
             continue
         if any(v in removed_v for v in hg.endpoints(e)):
             raise NoComplement(1, f"edge {e} would dangle")
-    for v in glue:
+    for v in points:
         if hg.vparent.get(v) in removed_e:
             raise NoComplement(1, f"glue vertex {v} would lose its box")
-    graph = hg.without(removed_v, removed_e)
+    comp = _hole(m.host, removed_v, removed_e, go, gi)
     # Condition (4): interface images uniformly placed in the complement too.
-    if not _interface_images_admissible(graph, glue):
+    if not _interface_images_admissible(comp.graph, points):
         raise NoComplement(4, "interface images not uniformly placed in complement")
     # Condition (5): the host's own external interface survives.
-    vset = set(graph.vertices)
+    vset = set(comp.graph.vertices)
     for v in m.host.ext_in_vertices() + m.host.ext_out_vertices():
         if v not in vset:
             raise NoComplement(5, "host external interface was removed")
-    top_level = all(hg.vparent.get(v) is None for v in glue)
-    comp = Complement(
-        graph=graph,
-        kept_int_in=tuple(v for v in m.host.int_in if v not in removed_v),
-        kept_int_out=tuple(v for v in m.host.int_out if v not in removed_v),
-        in_glue=go,
-        out_glue=gi,
-        top_level=top_level,
-        host=m.host,
-    )
     cospan = comp.as_cospan()
     report = validate_cospan(cospan) + is_mda_well_typed(cospan)
-    if top_level:
+    if comp.top_level:
         if report:
             raise NoComplement(6, report[0])
     else:
@@ -291,44 +301,19 @@ def apply(m: Match) -> ExtendedCospan:
 def _glue(comp: Complement, rhs: ExtendedCospan) -> ExtendedCospan:
     """Glue ``rhs`` into the hole of ``comp`` along its glue vertices, keeping
     the host's interface; the result is validated."""
-    n_in = len(comp.out_glue)  # rule external inputs
-    n_out = len(comp.in_glue)
-    z = discrete(n_in + n_out)
-    leg_c = EHomomorphism(
-        dom=z,
-        cod=comp.graph,
-        vmap={
-            z.vertices[t]: (comp.out_glue + comp.in_glue)[t]
-            for t in range(n_in + n_out)
-        },
-        emap={},
-    )
-    leg_r = EHomomorphism(
-        dom=z,
-        cod=rhs.carrier,
-        vmap={
-            z.vertices[t]: (rhs.ext_in_vertices() + rhs.ext_out_vertices())[t]
-            for t in range(n_in + n_out)
-        },
-        emap={},
-    )
     try:
-        po = pushout(leg_c, leg_r)
+        po = glue(comp.graph, comp.out_glue + comp.in_glue,
+                  rhs.carrier, rhs.ext_in_vertices() + rhs.ext_out_vertices())
     except PushoutPreconditionError as exc:  # pragma: no cover - bug class
         raise RewriteInternalError(f"insertion pushout failed: {exc}") from exc
-    inj_c, inj_r = po.inj_left, po.inj_right
-    int_in = tuple(inj_c.vmap[v] for v in comp.kept_int_in) + tuple(
-        inj_r.vmap[rhs.int_in[p]] for p in rhs.strict_in_positions()
+    inj_c, inj_r = po.inj_left.vmap, po.inj_right.vmap
+    int_in = tuple(inj_c[v] for v in comp.kept_int_in) + tuple(
+        inj_r[rhs.int_in[p]] for p in rhs.strict_in_positions()
     )
-    int_out = tuple(inj_c.vmap[v] for v in comp.kept_int_out) + tuple(
-        inj_r.vmap[rhs.int_out[p]] for p in rhs.strict_out_positions()
+    int_out = tuple(inj_c[v] for v in comp.kept_int_out) + tuple(
+        inj_r[rhs.int_out[p]] for p in rhs.strict_out_positions()
     )
-    host = comp.host
-    pos_in = {v: p for p, v in enumerate(comp.kept_int_in)}
-    ext_in = tuple(pos_in[host.int_in[p]] for p in host.ext_in)
-    pos_out = {v: p for p, v in enumerate(comp.kept_int_out)}
-    ext_out = tuple(pos_out[host.int_out[p]] for p in host.ext_out)
-    result = ExtendedCospan(po.obj, int_in, int_out, ext_in, ext_out)
+    result = ExtendedCospan(po.obj, int_in, int_out, *comp.host_ext())
     report = validate_cospan(result) + is_mda_well_typed(result)
     if report:
         raise RewriteInternalError(f"rewrite produced ill-formed cospan: {report[0]}")
@@ -411,17 +396,8 @@ def choose(c: ExtendedCospan, box: int, k: int) -> ExtendedCospan:
     """
     g = c.carrier
     removed = down_closure(g, [box]) - {("v", v) for v in g.endpoints(box)}
-    rm_v = {i for kind, i in removed if kind == "v"}
-    rm_e = {i for kind, i in removed if kind == "e"}
-    hole = Complement(
-        graph=g.without(rm_v, rm_e),
-        kept_int_in=tuple(v for v in c.int_in if v not in rm_v),
-        kept_int_out=tuple(v for v in c.int_out if v not in rm_v),
-        in_glue=g.target[box],
-        out_glue=g.source[box],
-        top_level=g.eparent.get(box) is None,
-        host=c,
-    )
+    hole = _hole(c, {i for kind, i in removed if kind == "v"},
+                 {i for kind, i in removed if kind == "e"}, g.target[box], g.source[box])
     return _glue(hole, component_cospan(c, box, k))
 
 

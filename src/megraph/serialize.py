@@ -85,14 +85,13 @@ def graph_from_doc(doc: dict[str, Any]) -> tuple[EHypergraph, dict[int, int]]:
             )
         for pd in doc.get("parents", []):
             kind, i = _parse_child(str(pd["child"]))
-            parent = emap[int(pd["parent"])]
-            comp = int(pd["component"])
-            if kind == "v":
-                g.vparent[vmap[i]] = parent
-                g.vcomp[vmap[i]] = comp
-            else:
-                g.eparent[emap[i]] = parent
-                g.ecomp[emap[i]] = comp
+            ids, nest, comps = (
+                (vmap, g.vparent, g.vcomp) if kind == "v" else (emap, g.eparent, g.ecomp)
+            )
+            if ids[i] in nest:
+                raise SerializationError(f"duplicate parent entry for {kind}{i}")
+            nest[ids[i]] = emap[int(pd["parent"])]
+            comps[ids[i]] = int(pd["component"])
         return g, vmap
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed graph document: {exc}") from exc

@@ -101,6 +101,16 @@ class TestRewrite:
         assert res.exit_code == 0
         assert iso(loads_cospan(res.stdout), interp("g ; g")) is not None
 
+    def test_negative_budget_rejected(self, tmp_path, sig):
+        path = write_graph(tmp_path, interp("f ; f"))
+        rules = tmp_path / "rules.txt"
+        rules.write_text("fg : f => g\n")
+        res = RUNNER.invoke(main, ["rewrite", path, "--rules", str(rules), "--sig", sig,
+                                   "--all", "--budget", "-3"])
+        assert res.exit_code == 1
+        assert "--budget must be non-negative" in res.output
+        assert "Traceback" not in res.output
+
 
 class TestNormalizeExtractSaturate:
     def test_normalize(self, tmp_path):
@@ -108,6 +118,16 @@ class TestNormalizeExtractSaturate:
         res = RUNNER.invoke(main, ["normalize", path])
         assert res.exit_code == 0
         assert iso(loads_cospan(res.stdout), interp("(h ; f) + (h ; g)")) is not None
+
+    @pytest.mark.parametrize("text, budget, code", [
+        ("f ; g", "0", 0), ("h ; (f + g)", "0", 1), ("f ; g", "-1", 1)])
+    def test_normalize_budget(self, tmp_path, text, budget, code):
+        path = write_graph(tmp_path, interp(text))
+        res = RUNNER.invoke(main, ["normalize", path, "--budget", budget])
+        assert res.exit_code == code, res.output
+        assert "Traceback" not in res.output
+        if code == 0:
+            assert iso(loads_cospan(res.stdout), interp(text)) is not None
 
     def test_saturate(self, tmp_path, sig):
         path = write_graph(tmp_path, interp("f"))

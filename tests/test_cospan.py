@@ -10,6 +10,7 @@ from megraph.cospan import (
     PushoutPreconditionError,
     compose,
     discrete,
+    glue,
     identity_cospan,
     is_mda_well_typed,
     iso,
@@ -171,6 +172,62 @@ class TestPushout:
                 EHomomorphism(dom=z, cod=lg, vmap={z.vertices[0]: lv}, emap={}),
                 EHomomorphism(dom=z, cod=rg, vmap={z.vertices[0]: rv}, emap={}),
             )
+
+
+def _pushout_parts(p):
+    g = p.obj
+    return (g.vertices, g.edges, g.source, g.target, g.label, g.vparent, g.vcomp,
+            g.eparent, g.ecomp, p.inj_left.vmap, p.inj_left.emap,
+            p.inj_right.vmap, p.inj_right.emap)
+
+
+class TestGlue:
+    """``glue(x, xs, y, ys)`` is the pushout along the discrete interface
+    whose ``i``-th point meets ``xs[i]`` and ``ys[i]``."""
+
+    @staticmethod
+    def by_hand(x, xs, y, ys):
+        z = discrete(len(xs))
+        return pushout(
+            EHomomorphism(dom=z, cod=x, vmap=dict(zip(z.vertices, xs)), emap={}),
+            EHomomorphism(dom=z, cod=y, vmap=dict(zip(z.vertices, ys)), emap={}),
+        )
+
+    def test_non_injective_leg_merges_its_images(self):
+        # f's output meets both inputs of ``g * h``, which become one vertex
+        x, _, x_out = edge_graph("f")
+        yc = interp("g * h")
+        ys = yc.ext_in_vertices()
+        p = glue(x, (x_out[0], x_out[0]), yc.carrier, ys)
+        assert _pushout_parts(p) == _pushout_parts(
+            self.by_hand(x, (x_out[0], x_out[0]), yc.carrier, ys))
+        assert p.inj_right.vmap[ys[0]] == p.inj_right.vmap[ys[1]] == p.inj_left.vmap[x_out[0]]
+        assert len(p.obj.vertices) == 4
+
+    def test_glue_point_nested_in_a_box(self):
+        host = join([interp("f"), interp("g")])
+        hg = host.carrier
+        ge = next(e for e in hg.edges if hg.label[e] == "g")
+        boxed_out = hg.target[ge][0]
+        yc = interp("h")
+        p = glue(hg, (boxed_out,), yc.carrier, yc.ext_in_vertices())
+        assert _pushout_parts(p) == _pushout_parts(
+            self.by_hand(hg, (boxed_out,), yc.carrier, yc.ext_in_vertices()))
+        he = p.inj_right.emap[yc.carrier.edges[0]]
+        box = next(e for e in hg.edges if hg.label[e] is None)
+        assert p.obj.eparent[he] == p.inj_left.emap[box]
+        assert p.obj.ecomp[he] == hg.vcomp[boxed_out]
+
+    def test_empty_interface_is_the_disjoint_union(self):
+        a, b = interp("f ; g").carrier, interp("h").carrier
+        p = glue(a, (), b, ())
+        assert _pushout_parts(p) == _pushout_parts(self.by_hand(a, (), b, ()))
+        assert len(p.obj.vertices) == len(a.vertices) + len(b.vertices)
+
+    def test_interfaces_of_different_lengths_are_rejected(self):
+        a, _, a_out = edge_graph("f")
+        with pytest.raises(ValueError):
+            glue(a, a_out, a, ())
 
 
 class TestCompose:

@@ -54,8 +54,23 @@ class TestNormalize:
                 assert iso(p, q) is None
 
     def test_budget_guard(self):
-        with pytest.raises(EngineError):
-            normalize(interp("h ; (f + g)"), budget=1)
+        # ``h ; (f + g)`` needs exactly one step.
+        with pytest.raises(EngineError, match="budget exceeded"):
+            normalize(interp("h ; (f + g)"), budget=0)
+        assert iso(normalize(interp("h ; (f + g)"), budget=1),
+                   interp("(h ; f) + (h ; g)")) is not None
+
+    def test_fixpoint_needs_no_budget(self):
+        c = interp("f ; g")
+        assert iso(normalize(c, budget=0), c) is not None
+
+    @pytest.mark.parametrize("kwargs, message", [
+        ({"budget": -1}, "budget must be non-negative"),
+        ({"order": "middle"}, "unknown normalization order 'middle'"),
+    ])
+    def test_bad_arguments_rejected(self, kwargs, message):
+        with pytest.raises(EngineError, match=message):
+            normalize(interp("f ; g"), **kwargs)
 
 
 class TestComponents:

@@ -146,6 +146,16 @@ class TestApply:
             or iso(result, interp("(f ; g) + (g ; f ; h)")) is not None
         )
 
+    def test_bare_wire_right_hand_side_inside_a_box(self):
+        # The glue leg of ``id:1`` sends its input and output to one vertex,
+        # so gluing it merges the two hole vertices inside the box.
+        rule = rule_from_terms("r", parse("f ; g"), parse("id:1"), BASIC)
+        host = interp("(f ; g) + h")
+        (m,) = find_matches(rule, host)
+        result = apply(m)
+        assert is_mda_well_typed(result) == []
+        assert iso(result, interp("id:1 + h")) is not None
+
 
 class TestStructuralMatches:
     def test_seq_dist_forward_instance(self):

@@ -52,6 +52,13 @@ class TestCospanRoundTrip:
         with pytest.raises(SerializationError):
             loads_cospan("{}")
 
+    def test_repeated_parent_entry_is_rejected(self):
+        doc = json.loads(dumps_cospan(interp("f + g")))
+        first = doc["parents"][0]["child"]
+        doc["parents"] += [dict(pd, component=1 - pd["component"]) for pd in doc["parents"]]
+        with pytest.raises(SerializationError, match=f"duplicate parent entry for {first}$"):
+            loads_cospan(json.dumps(doc))
+
 
 class TestEGraphRoundTrip:
     def test_round_trip_preserves_translation(self):
