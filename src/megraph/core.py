@@ -10,7 +10,6 @@ represents).
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Hashable, Iterable, Iterator, Optional, TypeVar
 
@@ -264,100 +263,104 @@ def copy_into(
 
 
 def validate(g: EHypergraph, sig: Optional[Signature] = None) -> list[str]:
-    """Check every well-formedness condition; return the list of violations."""
+    """Check every well-formedness condition; return the list of violations,
+    grouped by condition in a fixed order: duplicate ids, unknown endpoints,
+    parents, nesting cycles, box children, placements, generator typing."""
+    vset, eset = set(g.vertices), set(g.edges)
+    source, target, label = g.source, g.target, g.label
+    vparent, vcomp, eparent, ecomp = g.vparent, g.vcomp, g.eparent, g.ecomp
     report: list[str] = []
-    vset = set(g.vertices)
-    eset = set(g.edges)
     if len(vset) != len(g.vertices):
         report.append("duplicate vertex ids")
     if len(eset) != len(g.edges):
         report.append("duplicate edge ids")
-    for e in g.edges:
-        for v in g.endpoints(e):
-            if v not in vset:
-                report.append(f"edge {e}: unknown endpoint vertex {v}")
 
-    # Parents are hierarchical edges and form a forest.
-    for elem in g.elements():
-        p = g.parent_of(elem)
-        if p is None:
-            if g.component_of(elem) is not None:
-                report.append(f"{elem}: component index without a parent")
-            continue
-        if g.component_of(elem) is None:
-            report.append(f"{elem}: parent without a component index")
-        if p not in eset:
-            report.append(f"{elem}: unknown parent edge {p}")
-        elif g.label[p] is not None:
-            report.append(f"{elem}: parent edge {p} is not hierarchical")
-    for e in g.edges:
-        chain = set()
-        p: Optional[int] = g.eparent.get(e)
-        while p is not None:
-            if p == e or p in chain:
-                report.append(f"edge {e}: cyclic nesting chain")
-                break
-            chain.add(p)
-            p = g.eparent.get(p)
-
-    # Childless edges are labelled; boxes have children in >= 2 components.
+    # Parents are hierarchical edges, and each element with a parent has a
+    # component index; collect the components of each parent on the way.
+    parents: list[str] = []
     child_comps: dict[int, set[int]] = {}
-    for elem in g.elements():
-        p = g.parent_of(elem)
-        if p is not None:
-            c = g.component_of(elem)
-            if c is not None:
+    for kind, xs, parent, comp in (("v", g.vertices, vparent, vcomp),
+                                   ("e", g.edges, eparent, ecomp)):
+        for x in xs:
+            p = parent.get(x)
+            c = comp.get(x)
+            if p is None:
+                if c is not None:
+                    parents.append(f"{(kind, x)}: component index without a parent")
+                continue
+            if c is None:
+                parents.append(f"{(kind, x)}: parent without a component index")
+            else:
                 child_comps.setdefault(p, set()).add(c)
-    for e in g.edges:
-        comps = child_comps.get(e, set())
-        if not comps and g.label[e] is None:
-            report.append(f"edge {e}: hierarchical edge with no children")
-        if comps and g.label[e] is not None:
-            report.append(f"edge {e}: labelled edge used as a parent")
-        if g.label[e] is None and len(comps) == 1:
-            report.append(f"edge {e}: single-component box")
+            if p not in eset:
+                parents.append(f"{(kind, x)}: unknown parent edge {p}")
+            elif label[p] is not None:
+                parents.append(f"{(kind, x)}: parent edge {p} is not hierarchical")
 
-    # Edges live at the same placement as their endpoints, and consistency
-    # is closed under connectivity.
+    # Per edge: endpoints exist; nesting forms a forest; childless edges are
+    # labelled and boxes have children in >= 2 components; endpoints share
+    # the edge's placement (consistency is closed under connectivity); the
+    # generator has its declared arity.
+    unknown: list[str] = []
+    cycles: list[str] = []
+    boxes: list[str] = []
+    placed: list[str] = []
+    typed: list[str] = []
+    gens = None if sig is None else sig.generators
     for e in g.edges:
-        ep, ec = g.placement(("e", e))
-        for v in g.endpoints(e):
-            if v not in vset:
-                continue
-            vp, vc = g.placement(("v", v))
+        ends = source[e] + target[e]
+        if not vset.issuperset(ends):
+            unknown += [f"edge {e}: unknown endpoint vertex {v}" for v in ends if v not in vset]
+        ep = eparent.get(e)
+        if ep is not None:
+            chain, p = set(), ep
+            while p is not None:
+                if p == e or p in chain:
+                    cycles.append(f"edge {e}: cyclic nesting chain")
+                    break
+                chain.add(p)
+                p = eparent.get(p)
+        lbl = label[e]
+        comps = child_comps.get(e)
+        if lbl is None:
+            if not comps:
+                boxes.append(f"edge {e}: hierarchical edge with no children")
+            elif len(comps) == 1:
+                boxes.append(f"edge {e}: single-component box")
+        elif comps:
+            boxes.append(f"edge {e}: labelled edge used as a parent")
+        ec = ecomp.get(e)
+        for v in ends:
+            vp = vparent.get(v)
             if vp != ep:
-                report.append(f"edge {e} and endpoint {v}: different parents")
-            elif ep is not None and vc != ec:
-                report.append(
-                    f"edge {e} and endpoint {v}: same box, different components"
+                if v in vset:
+                    placed.append(f"edge {e} and endpoint {v}: different parents")
+            elif ep is not None and vcomp.get(v) != ec and v in vset:
+                placed.append(f"edge {e} and endpoint {v}: same box, different components")
+        if gens is not None and lbl is not None:
+            gen = gens.get(lbl)
+            if gen is None:
+                typed.append(f"edge {e}: unknown generator {lbl}")
+            elif len(source[e]) != gen.arity or len(target[e]) != gen.coarity:
+                typed.append(
+                    f"edge {e}: generator {lbl} expects {gen.arity} -> {gen.coarity}, "
+                    f"got {len(source[e])} -> {len(target[e])}"
                 )
-
-    # Generator typing.
-    if sig is not None:
-        for e in g.edges:
-            lbl = g.label[e]
-            if lbl is None:
-                continue
-            if lbl not in sig:
-                report.append(f"edge {e}: unknown generator {lbl}")
-                continue
-            ar, coar = sig.arity(lbl)
-            if len(g.source[e]) != ar or len(g.target[e]) != coar:
-                report.append(
-                    f"edge {e}: generator {lbl} expects {ar} -> {coar}, "
-                    f"got {len(g.source[e])} -> {len(g.target[e])}"
-                )
-    return report
+    return report + unknown + parents + cycles + boxes + placed + typed
 
 
 def degrees(g: EHypergraph) -> dict[int, tuple[int, int]]:
     """(in-degree, out-degree) of every vertex, counting multiplicity, from
     one pass over the edges.  An endpoint that names no vertex is ignored."""
-    ind: Counter[int] = Counter()
-    outd: Counter[int] = Counter()
+    ind = dict.fromkeys(g.vertices, 0)
+    outd = dict.fromkeys(g.vertices, 0)
     for e in g.edges:
-        ind.update(g.target[e])
-        outd.update(g.source[e])
+        for v in g.target[e]:
+            if v in ind:
+                ind[v] += 1
+        for v in g.source[e]:
+            if v in outd:
+                outd[v] += 1
     return {v: (ind[v], outd[v]) for v in g.vertices}
 
 

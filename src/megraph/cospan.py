@@ -99,26 +99,22 @@ def validate_cospan(c: ExtendedCospan, sig: Optional[Signature] = None) -> list[
     """Interface well-formedness; carrier conditions included when possible."""
     report = validate(c.carrier, sig)
     vset = set(c.carrier.vertices)
+    vparent = c.carrier.vparent
     for side, slots, ext in (
         ("input", c.int_in, c.ext_in),
         ("output", c.int_out, c.ext_out),
     ):
-        for v in slots:
-            if v not in vset:
-                report.append(f"{side} slot vertex {v} not in carrier")
+        report += [f"{side} slot vertex {v} not in carrier" for v in slots if v not in vset]
         ext_set = set(ext)
         if len(ext_set) != len(ext):
             report.append(f"{side} external positions not injective")
         for p in ext:
             if not (0 <= p < len(slots)):
                 report.append(f"{side} external position {p} out of range")
-                continue
-            if slots[p] in vset and not c.carrier.is_top_level(("v", slots[p])):
+            elif vparent.get(slots[p]) is not None and slots[p] in vset:
                 report.append(f"{side} external slot {p} maps to a nested vertex")
-        for p in range(len(slots)):
-            if p in ext_set or slots[p] not in vset:
-                continue
-            if c.carrier.is_top_level(("v", slots[p])):
+        for p, v in enumerate(slots):
+            if p not in ext_set and vparent.get(v) is None and v in vset:
                 report.append(
                     f"{side} strictly internal slot {p} maps to a top-level vertex"
                 )
@@ -131,11 +127,11 @@ def is_mda_well_typed(c: ExtendedCospan) -> list[str]:
     g = c.carrier
     if not is_acyclic(g):
         report.append("carrier has a directed cycle")
-    if len(set(c.int_in)) != len(c.int_in):
-        report.append("input internal interface not injective")
-    if len(set(c.int_out)) != len(c.int_out):
-        report.append("output internal interface not injective")
     ins, outs = set(c.int_in), set(c.int_out)
+    if len(ins) != len(c.int_in):
+        report.append("input internal interface not injective")
+    if len(outs) != len(c.int_out):
+        report.append("output internal interface not injective")
     for v, (ind, outd) in degrees(g).items():
         if ind > 1 or outd > 1:
             report.append(f"vertex {v}: degree above 1 (in={ind}, out={outd})")
@@ -148,22 +144,35 @@ def is_mda_well_typed(c: ExtendedCospan) -> list[str]:
 
 
 def _box_typing(c: ExtendedCospan) -> list[str]:
-    """Each component of each box must expose |sources| inputs and |targets| outputs."""
-    report: list[str] = []
+    """Each component of each box must expose |sources| inputs and |targets|
+    outputs; a component that holds only edges exposes none."""
     g = c.carrier
     strict_in = {c.int_in[p] for p in c.strict_in_positions()}
     strict_out = {c.int_out[p] for p in c.strict_out_positions()}
+    # [inputs, outputs] of each component of each parent, from one pass
+    # over the vertices; the edges add the components they alone hold.
+    counts: dict[int, dict[Optional[int], list[int]]] = {}
+    for v in g.vertices:
+        p = g.vparent.get(v)
+        if p is not None:
+            got = counts.setdefault(p, {}).setdefault(g.vcomp.get(v), [0, 0])
+            got[0] += v in strict_in
+            got[1] += v in strict_out
     for e in g.edges:
-        if g.label[e] is not None:
+        p = g.eparent.get(e)
+        if p is not None:
+            counts.setdefault(p, {}).setdefault(g.ecomp.get(e), [0, 0])
+    report: list[str] = []
+    for e in g.edges:
+        if g.label[e] is not None or e not in counts:
             continue
-        sides = (("inputs", strict_in, len(g.source[e])),
-                 ("outputs", strict_out, len(g.target[e])))
-        for comp, members in g.alternatives(e).items():
-            vs = [i for k, i in members if k == "v"]
-            for side, slots, want in sides:
-                got = sum(v in slots for v in vs)
-                if got != want:
-                    report.append(f"box {e} component {comp}: {got} {side}, expected {want}")
+        for comp_id, (got_in, got_out) in sorted(counts[e].items()):
+            if got_in != len(g.source[e]):
+                report.append(f"box {e} component {comp_id}: {got_in} inputs, "
+                              f"expected {len(g.source[e])}")
+            if got_out != len(g.target[e]):
+                report.append(f"box {e} component {comp_id}: {got_out} outputs, "
+                              f"expected {len(g.target[e])}")
     return report
 
 

@@ -248,6 +248,15 @@ def _hole(
 
 
 def boundary_complement(m: Match) -> Complement:
+    """The host minus the match, to be refilled along the glue vertices;
+    ``NoComplement`` names the first violated condition.
+
+    The complement needs no own placement check of the glue vertices:
+    condition (1) rejects every glue vertex whose box is removed, and
+    ``EHypergraph.without`` changes the placement only of elements whose
+    box is removed.  So each glue vertex keeps its host placement, which
+    condition (3) has already found uniform: condition (4), that check on
+    the complement, always holds and is not made."""
     hg = m.host.carrier
     gi, go = _glue_vertices(m)
     points = gi + go
@@ -269,9 +278,6 @@ def boundary_complement(m: Match) -> Complement:
         if hg.vparent.get(v) in removed_e:
             raise NoComplement(1, f"glue vertex {v} would lose its box")
     comp = _hole(m.host, removed_v, removed_e, go, gi)
-    # Condition (4): interface images uniformly placed in the complement too.
-    if not _interface_images_admissible(comp.graph, points):
-        raise NoComplement(4, "interface images not uniformly placed in complement")
     # Condition (5): the host's own external interface survives.
     vset = set(comp.graph.vertices)
     for v in m.host.ext_in_vertices() + m.host.ext_out_vertices():

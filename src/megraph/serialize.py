@@ -10,7 +10,8 @@ canonical renumbering.  E-graph documents carry ``classes`` with their nodes.
 from __future__ import annotations
 
 import json
-from typing import Any
+from json.encoder import encode_basestring_ascii as _str
+from typing import Any, Iterable
 
 from .core import EHypergraph, copy_into
 from .cospan import ExtendedCospan
@@ -133,8 +134,49 @@ def canonical_renumber(c: ExtendedCospan) -> ExtendedCospan:
     )
 
 
+def _array(items: Iterable[str], indent: str) -> str:
+    """A JSON array of encoded items, laid out as ``json.dumps(indent=2)``
+    lays out an array that opens on a line indented by ``indent``."""
+    inner = "\n" + indent + "  "
+    body = ("," + inner).join(items)
+    return "[" + inner + body + "\n" + indent + "]" if body else "[]"
+
+
+_EDGE = ('{\n      "id": %d,\n      "label": %s,\n      "sources": %s,\n'
+         '      "targets": %s\n    }')
+_PARENT = '{\n      "child": "%s%s",\n      "parent": %s,\n      "component": %d\n    }'
+_COSPAN = ('{\n  "vertices": %s,\n  "edges": %s,\n  "parents": %s,\n  "int_in": %s,\n'
+           '  "int_out": %s,\n  "ext_in": %s,\n  "ext_out": %s\n}\n')
+
+
 def dumps_cospan(c: ExtendedCospan) -> str:
-    return json.dumps(cospan_to_doc(canonical_renumber(c)), indent=2) + "\n"
+    """The document of ``c`` after canonical renumbering, byte for byte
+    ``json.dumps(cospan_to_doc(canonical_renumber(c)), indent=2) + "\\n"``,
+    written straight from the carrier: ids are positions in ``vertices`` and
+    ``edges``, and strings go through the C encoder of ``json``."""
+    g = c.carrier
+    vnum = {v: str(i) for i, v in enumerate(g.vertices)}
+    enum = {e: str(i) for i, e in enumerate(g.edges)}
+    label, source, target = g.label, g.source, g.target
+    edges = [
+        _EDGE % (i, _str(HIERARCHICAL if label[e] is None else label[e]),
+                 _array([vnum[v] for v in source[e]], "      "),
+                 _array([vnum[v] for v in target[e]], "      "))
+        for i, e in enumerate(g.edges)
+    ]
+    # A parent that is not an edge of the carrier is not written, as
+    # ``canonical_renumber`` does not copy it.
+    parents = [
+        _PARENT % (kind, num[x], enum[parent[x]], comp[x])
+        for kind, xs, num, parent, comp in (("v", g.vertices, vnum, g.vparent, g.vcomp),
+                                            ("e", g.edges, enum, g.eparent, g.ecomp))
+        for x in xs if parent.get(x) in enum
+    ]
+    return _COSPAN % (
+        _array(vnum.values(), "  "), _array(edges, "  "), _array(parents, "  "),
+        _array([vnum[v] for v in c.int_in], "  "), _array([vnum[v] for v in c.int_out], "  "),
+        _array(map(str, c.ext_in), "  "), _array(map(str, c.ext_out), "  "),
+    )
 
 
 def loads_cospan(text: str) -> ExtendedCospan:
@@ -168,6 +210,17 @@ def egraph_to_doc(eg: EGraph) -> dict[str, Any]:
 
 
 def egraph_from_doc(doc: dict[str, Any]) -> EGraph:
+    """The e-graph of a document; ``SerializationError`` when it is malformed
+    or breaks the e-graph invariants.
+
+    The invariants are checked while the e-graph is built, as the hashcons
+    is filled.  Every listed class id is its own union-find root and every
+    child is checked to be listed, so every node is already canonical, and
+    every node goes into the hashcons.  ``EGraph.check_invariants`` can then
+    only find a node that two classes hold: it reports congruent nodes, and
+    the hashcons naming the wrong class for one of them.  So rejecting a
+    node that the hashcons already holds under another class rejects
+    exactly the documents that ``check_invariants`` would."""
     eg = EGraph()
     try:
         for cd in doc["classes"]:
@@ -188,13 +241,15 @@ def egraph_from_doc(doc: dict[str, Any]) -> EGraph:
                     raise SerializationError(
                         f"node {n!r} of class {cid} names unknown class {unknown}"
                     )
+                other = eg.hashcons.setdefault(n, cid)
+                if other != cid:
+                    raise SerializationError(
+                        f"e-graph document violates invariants: congruent nodes {n!r} "
+                        f"in distinct classes {other} and {cid}"
+                    )
                 eg.classes[cid].add(n)
-                eg.hashcons[n] = cid
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed e-graph document: {exc}") from exc
-    bad = eg.check_invariants()
-    if bad:
-        raise SerializationError(f"e-graph document violates invariants: {bad[0]}")
     return eg
 
 
@@ -208,5 +263,16 @@ def loads_egraph(text: str) -> EGraph:
     return egraph_from_doc(doc)
 
 
+_NODE = '{\n          "head": %s,\n          "children": %s\n        }'
+_CLASS = '{\n      "id": %d,\n      "nodes": %s\n    }'
+
+
 def dumps_egraph(eg: EGraph) -> str:
-    return json.dumps(egraph_to_doc(eg), indent=2) + "\n"
+    """Byte for byte ``json.dumps(egraph_to_doc(eg), indent=2) + "\\n"``,
+    written directly as ``dumps_cospan`` is."""
+    classes = [
+        _CLASS % (c, _array([_NODE % (_str(n.head), _array(map(str, n.children), "          "))
+                             for n in eg.nodes(c)], "      "))
+        for c in eg.class_ids()
+    ]
+    return '{\n  "classes": %s\n}\n' % _array(classes, "  ")

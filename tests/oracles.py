@@ -5,19 +5,30 @@ homomorphism enumeration is a direct backtracking search over raw maps, the
 isomorphism oracle filters it for bijections that line up the slots, the
 complement oracle enumerates every candidate subgraph of the host, the
 equational oracle works on term syntax only, and the saturation oracle is
-the restart-after-every-addition loop that the worklist replaced.
+the restart-after-every-addition loop that the worklist replaced.  The
+checkers and writers at the end are the straightforward versions that the
+one-pass checks and the direct JSON emitters replaced.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterator, Optional
+import json
+from collections import Counter
+from typing import Any, Iterator, Optional
 
-from megraph.core import EHypergraph, EHomomorphism, Element
+from megraph.core import EHypergraph, EHomomorphism, Element, Signature, is_acyclic
 from megraph.cospan import ExtendedCospan, PushoutPreconditionError, pushout
 from megraph import cospan as cs
+from megraph.egraph import EGraph, ENode
 from megraph.engine import SaturationResult, Strategy, components
 from megraph.rewrite import Match, apply, boundary_complement, find_matches
+from megraph.serialize import (
+    SerializationError,
+    canonical_renumber,
+    cospan_to_doc,
+    egraph_to_doc,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -380,3 +391,197 @@ def saturate_oracle(c: ExtendedCospan, s: Strategy) -> SaturationResult:
             return SaturationResult(result, steps, True)
     result = c if steps == 0 else (comps[0] if len(comps) == 1 else cs.join(comps))
     return SaturationResult(result, steps, False)
+
+
+# ---------------------------------------------------------------------------
+# Checkers and writers, one whole-graph scan per condition
+# ---------------------------------------------------------------------------
+
+
+def validate_oracle(g: EHypergraph, sig: Optional[Signature] = None) -> list[str]:
+    """``core.validate`` as an element-by-element scan per condition."""
+    report: list[str] = []
+    vset = set(g.vertices)
+    eset = set(g.edges)
+    if len(vset) != len(g.vertices):
+        report.append("duplicate vertex ids")
+    if len(eset) != len(g.edges):
+        report.append("duplicate edge ids")
+    for e in g.edges:
+        for v in g.endpoints(e):
+            if v not in vset:
+                report.append(f"edge {e}: unknown endpoint vertex {v}")
+
+    for elem in g.elements():
+        p = g.parent_of(elem)
+        if p is None:
+            if g.component_of(elem) is not None:
+                report.append(f"{elem}: component index without a parent")
+            continue
+        if g.component_of(elem) is None:
+            report.append(f"{elem}: parent without a component index")
+        if p not in eset:
+            report.append(f"{elem}: unknown parent edge {p}")
+        elif g.label[p] is not None:
+            report.append(f"{elem}: parent edge {p} is not hierarchical")
+    for e in g.edges:
+        chain = set()
+        p: Optional[int] = g.eparent.get(e)
+        while p is not None:
+            if p == e or p in chain:
+                report.append(f"edge {e}: cyclic nesting chain")
+                break
+            chain.add(p)
+            p = g.eparent.get(p)
+
+    child_comps: dict[int, set[int]] = {}
+    for elem in g.elements():
+        p = g.parent_of(elem)
+        if p is not None:
+            c = g.component_of(elem)
+            if c is not None:
+                child_comps.setdefault(p, set()).add(c)
+    for e in g.edges:
+        comps = child_comps.get(e, set())
+        if not comps and g.label[e] is None:
+            report.append(f"edge {e}: hierarchical edge with no children")
+        if comps and g.label[e] is not None:
+            report.append(f"edge {e}: labelled edge used as a parent")
+        if g.label[e] is None and len(comps) == 1:
+            report.append(f"edge {e}: single-component box")
+
+    for e in g.edges:
+        ep, ec = g.placement(("e", e))
+        for v in g.endpoints(e):
+            if v not in vset:
+                continue
+            vp, vc = g.placement(("v", v))
+            if vp != ep:
+                report.append(f"edge {e} and endpoint {v}: different parents")
+            elif ep is not None and vc != ec:
+                report.append(
+                    f"edge {e} and endpoint {v}: same box, different components"
+                )
+
+    if sig is not None:
+        for e in g.edges:
+            lbl = g.label[e]
+            if lbl is None:
+                continue
+            if lbl not in sig:
+                report.append(f"edge {e}: unknown generator {lbl}")
+                continue
+            ar, coar = sig.arity(lbl)
+            if len(g.source[e]) != ar or len(g.target[e]) != coar:
+                report.append(
+                    f"edge {e}: generator {lbl} expects {ar} -> {coar}, "
+                    f"got {len(g.source[e])} -> {len(g.target[e])}"
+                )
+    return report
+
+
+def validate_cospan_oracle(c: ExtendedCospan, sig: Optional[Signature] = None) -> list[str]:
+    """``cospan.validate_cospan`` on top of :func:`validate_oracle`."""
+    report = validate_oracle(c.carrier, sig)
+    vset = set(c.carrier.vertices)
+    for side, slots, ext in (
+        ("input", c.int_in, c.ext_in),
+        ("output", c.int_out, c.ext_out),
+    ):
+        for v in slots:
+            if v not in vset:
+                report.append(f"{side} slot vertex {v} not in carrier")
+        ext_set = set(ext)
+        if len(ext_set) != len(ext):
+            report.append(f"{side} external positions not injective")
+        for p in ext:
+            if not (0 <= p < len(slots)):
+                report.append(f"{side} external position {p} out of range")
+                continue
+            if slots[p] in vset and not c.carrier.is_top_level(("v", slots[p])):
+                report.append(f"{side} external slot {p} maps to a nested vertex")
+        for p in range(len(slots)):
+            if p in ext_set or slots[p] not in vset:
+                continue
+            if c.carrier.is_top_level(("v", slots[p])):
+                report.append(
+                    f"{side} strictly internal slot {p} maps to a top-level vertex"
+                )
+    return report
+
+
+def degrees_oracle(g: EHypergraph) -> dict[int, tuple[int, int]]:
+    ind: Counter[int] = Counter()
+    outd: Counter[int] = Counter()
+    for e in g.edges:
+        ind.update(g.target[e])
+        outd.update(g.source[e])
+    return {v: (ind[v], outd[v]) for v in g.vertices}
+
+
+def box_typing_oracle(c: ExtendedCospan) -> list[str]:
+    """Box typing from one ``alternatives`` scan per box."""
+    report: list[str] = []
+    g = c.carrier
+    strict_in = {c.int_in[p] for p in c.strict_in_positions()}
+    strict_out = {c.int_out[p] for p in c.strict_out_positions()}
+    for e in g.edges:
+        if g.label[e] is not None:
+            continue
+        sides = (("inputs", strict_in, len(g.source[e])),
+                 ("outputs", strict_out, len(g.target[e])))
+        for comp, members in g.alternatives(e).items():
+            vs = [i for k, i in members if k == "v"]
+            for side, slots, want in sides:
+                got = sum(v in slots for v in vs)
+                if got != want:
+                    report.append(f"box {e} component {comp}: {got} {side}, expected {want}")
+    return report
+
+
+def is_mda_well_typed_oracle(c: ExtendedCospan) -> list[str]:
+    report: list[str] = []
+    g = c.carrier
+    if not is_acyclic(g):
+        report.append("carrier has a directed cycle")
+    if len(set(c.int_in)) != len(c.int_in):
+        report.append("input internal interface not injective")
+    if len(set(c.int_out)) != len(c.int_out):
+        report.append("output internal interface not injective")
+    ins, outs = set(c.int_in), set(c.int_out)
+    for v, (ind, outd) in degrees_oracle(g).items():
+        if ind > 1 or outd > 1:
+            report.append(f"vertex {v}: degree above 1 (in={ind}, out={outd})")
+        if (ind == 0) != (v in ins):
+            report.append(f"vertex {v}: in-degree-0 iff input-slot violated")
+        if (outd == 0) != (v in outs):
+            report.append(f"vertex {v}: out-degree-0 iff output-slot violated")
+    report.extend(box_typing_oracle(c))
+    return report
+
+
+def dumps_cospan_oracle(c: ExtendedCospan) -> str:
+    return json.dumps(cospan_to_doc(canonical_renumber(c)), indent=2) + "\n"
+
+
+def dumps_egraph_oracle(eg: EGraph) -> str:
+    return json.dumps(egraph_to_doc(eg), indent=2) + "\n"
+
+
+def egraph_invariants_oracle(doc: dict[str, Any]) -> list[str]:
+    """The e-graph of a well-formed class document, built without checks,
+    then ``check_invariants`` over all of it."""
+    eg = EGraph()
+    for cd in doc["classes"]:
+        cid = int(cd["id"])
+        if cid in eg.classes:
+            raise SerializationError(f"duplicate class id {cid}")
+        eg._uf[cid] = cid
+        eg.classes[cid] = set()
+    for cd in doc["classes"]:
+        cid = int(cd["id"])
+        for nd in cd["nodes"]:
+            n = ENode(str(nd["head"]), tuple(int(x) for x in nd["children"]))
+            eg.classes[cid].add(n)
+            eg.hashcons[n] = cid
+    return eg.check_invariants()

@@ -424,6 +424,18 @@ class TestImportAndDot:
         assert res.exit_code == 0
         assert iso(loads_cospan(res.stdout), translate(eg, ARITH)) is not None
 
+    def test_import_egraph_rejects_congruent_nodes(self, tmp_path, arith_sig):
+        path = tmp_path / "eg.json"
+        path.write_text(json.dumps({"classes": [
+            {"id": 0, "nodes": [{"head": "a", "children": []}]},
+            {"id": 1, "nodes": [{"head": "a", "children": []}]},
+        ]}))
+        res = RUNNER.invoke(main, ["import-egraph", str(path), "--sig", arith_sig])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "Traceback" not in res.output
+        assert res.stdout == ""
+
     def test_export_dot(self, tmp_path):
         path = write_graph(tmp_path, interp("f + g"))
         res = RUNNER.invoke(main, ["export-dot", path])

@@ -1,6 +1,7 @@
 """Property-based tests of the algebraic laws, driven by seeded random terms."""
 
 import copy
+import json
 import random
 
 from hypothesis import given, settings, strategies as st
@@ -9,6 +10,7 @@ from megraph.core import (
     EHomomorphism,
     EHypergraph,
     copy_into,
+    degrees,
     down_closure,
     identity_hom,
 )
@@ -26,18 +28,42 @@ from megraph.cospan import (
     tensor,
     validate_cospan,
 )
+from megraph.egraph import EGraph, ENode
 from megraph.engine import Strategy, _top_box, components, normalize, saturate
 from megraph.rewrite import (
+    NoComplement,
     RewriteRule,
+    _glue_vertices,
+    _interface_images_admissible,
     apply,
+    boundary_complement,
     find_matches,
     monomorphisms,
     structural_matches,
 )
+from megraph.serialize import (
+    SerializationError,
+    dumps_cospan,
+    dumps_egraph,
+    loads_cospan,
+    loads_egraph,
+)
 from megraph.term import Comp, Gen, Join, Sym, Tensor, interpret, print_term
 
 from .helpers import BASIC, expand, interp, random_term, same_alternatives
-from .oracles import all_homs, induced, iso_oracle, saturate_oracle
+from .oracles import (
+    all_homs,
+    degrees_oracle,
+    dumps_cospan_oracle,
+    dumps_egraph_oracle,
+    egraph_invariants_oracle,
+    induced,
+    is_mda_well_typed_oracle,
+    iso_oracle,
+    saturate_oracle,
+    validate_cospan_oracle,
+)
+from .test_cli import fuzz_documents
 
 seeds = st.integers(min_value=0, max_value=10**9)
 widths = st.integers(min_value=1, max_value=3)
@@ -418,21 +444,43 @@ class TestGraphViews:
                 assert all(g.placement(el) == (box, comp) for el in members)
 
 
+def random_matches(seed):
+    """The matches of a random rule and of the structural rules in a random
+    diagram."""
+    rng = random.Random(seed)
+    host = random_diagram(rng)
+    n = rng.choice([1, 2])
+    lhs = interpret(random_term(rng, n, n, size=rng.randint(1, 2)), BASIC)
+    rhs = interpret(random_term(rng, n, n, size=rng.randint(1, 2)), BASIC)
+    rule = RewriteRule("r", lhs, rhs)
+    return find_matches(rule, host) + [m for _, m in structural_matches(host)]
+
+
 class TestEveryMatchApplies:
     @given(seeds)
     @MATCHING
     def test_find_matches_and_structural_matches_apply(self, seed):
-        rng = random.Random(seed)
-        host = random_diagram(rng)
-        n = rng.choice([1, 2])
-        lhs = interpret(random_term(rng, n, n, size=rng.randint(1, 2)), BASIC)
-        rhs = interpret(random_term(rng, n, n, size=rng.randint(1, 2)), BASIC)
-        rule = RewriteRule("r", lhs, rhs)
-        matches = find_matches(rule, host) + [m for _, m in structural_matches(host)]
-        for m in matches:
+        for m in random_matches(seed):
             result = apply(m)
             assert validate_cospan(result) == []
             assert is_mda_well_typed(result) == []
+
+    @given(seeds)
+    @MATCHING
+    def test_glue_vertices_keep_their_placement_in_the_complement(self, seed):
+        # Why boundary_complement makes no check of its own (condition 4)
+        # on the complement's glue vertices.
+        for m in random_matches(seed):
+            try:
+                boundary_complement(m)
+            except NoComplement as exc:
+                if exc.condition in (1, 2, 3):
+                    continue
+            gi, go = _glue_vertices(m)
+            points = gi + go
+            rest = m.host.carrier.without(set(m.hom.vmap.values()) - set(points),
+                                          set(m.hom.emap.values()))
+            assert _interface_images_admissible(rest, points)
 
 
 # ---------------------------------------------------------------------------
@@ -554,3 +602,115 @@ class TestNormalizeAgainstExpansion:
         t = random_branching_term(rng, rng.choice([1, 2, 2]), rng.choice([1, 2]))
         expected = [print_term(u) for u in expand(t)]
         assert same_alternatives(normalize(interpret(t, BASIC)), expected, BASIC)
+
+
+# ---------------------------------------------------------------------------
+# One-pass checks and direct writers against the scans they replaced
+# ---------------------------------------------------------------------------
+
+CHECKS = settings(max_examples=100, deadline=None)
+ODD_LABELS = ['"', "\\", "q\"uo\\te", "é", "\x01", "\x7f", "☃", "\U0001d11e", "a\nb",
+              "/", "#box", "f"]
+
+
+def outcome(f, *args):
+    """What a call returns, or the type of what it raises."""
+    try:
+        return f(*args)
+    except Exception as exc:  # the two sides must fail alike
+        return type(exc)
+
+
+def assert_checks_match_oracles(c):
+    for sig in (None, BASIC):
+        assert outcome(validate_cospan, c, sig) == outcome(validate_cospan_oracle, c, sig)
+    g = c.carrier
+    assert outcome(degrees, g) == outcome(degrees_oracle, g)
+    assert outcome(is_mda_well_typed, c) == outcome(is_mda_well_typed_oracle, c)
+
+
+def thinned(c, rng):
+    """``c`` with some elements removed through ``EHypergraph.without``, so
+    ids are no longer dense, and sometimes with its vertex and edge lists
+    shuffled; only vertices that no kept edge or slot names are removed."""
+    g = c.carrier
+    rm_e = {e for e in g.edges if rng.random() < 0.3}
+    named = {v for e in g.edges if e not in rm_e for v in g.endpoints(e)}
+    named |= set(c.int_in) | set(c.int_out)
+    rm_v = {v for v in g.vertices if v not in named and rng.random() < 0.5}
+    h = g.without(rm_v, rm_e)
+    if rng.random() < 0.3:
+        rng.shuffle(h.vertices)
+        rng.shuffle(h.edges)
+    return ExtendedCospan(h, c.int_in, c.int_out, c.ext_in, c.ext_out)
+
+
+def random_class_document(rng):
+    """A well-formed e-graph document over a few heads, so that one node
+    often appears in two classes."""
+    ids = rng.sample(range(12), rng.randint(1, 5))
+    return {"classes": [
+        {"id": c, "nodes": [
+            {"head": rng.choice("ab"),
+             "children": [rng.choice(ids) for _ in range(rng.randint(0, 2))]}
+            for _ in range(rng.randint(1, 3))
+        ]}
+        for c in ids
+    ]}
+
+
+class TestOnePassChecksAgainstOracles:
+    @given(seeds)
+    @CHECKS
+    def test_reports_on_random_diagrams(self, seed):
+        rng = random.Random(seed)
+        c = random_diagram(rng)
+        assert_checks_match_oracles(c)
+        assert_checks_match_oracles(thinned(c, rng))
+
+    @given(seeds)
+    @CHECKS
+    def test_reports_on_fuzzed_documents(self, seed):
+        for text in fuzz_documents(seed, 12):
+            try:
+                c = loads_cospan(text)
+            except SerializationError:
+                continue
+            assert_checks_match_oracles(c)
+
+    @given(seeds)
+    @CHECKS
+    def test_dumps_cospan_is_json_dumps(self, seed):
+        rng = random.Random(seed)
+        for c in (random_diagram(rng), interp("a ; s"), interp("(a + b) ; f"),
+                  ExtendedCospan(EHypergraph(), (), (), (), ())):
+            c = thinned(c, rng) if rng.random() < 0.5 else c
+            for e in c.carrier.edges:
+                if c.carrier.label[e] is not None and rng.random() < 0.5:
+                    c.carrier.label[e] = "".join(rng.choices(ODD_LABELS, k=rng.randint(0, 3)))
+            assert dumps_cospan(c) == dumps_cospan_oracle(c)
+
+    @given(seeds)
+    @CHECKS
+    def test_dumps_egraph_is_json_dumps(self, seed):
+        rng = random.Random(seed)
+        eg = EGraph()
+        for _ in range(rng.randint(0, 8)):
+            kids = rng.sample(eg.class_ids(), min(len(eg.class_ids()), rng.randint(0, 2)))
+            eg.add(ENode("".join(rng.choices(ODD_LABELS, k=rng.randint(1, 2))), tuple(kids)))
+        if len(eg.class_ids()) > 1 and rng.random() < 0.5:
+            eg.merge(*rng.sample(eg.class_ids(), 2))
+        assert dumps_egraph(eg) == dumps_egraph_oracle(eg)
+
+    @given(seeds)
+    @CHECKS
+    def test_loader_rejects_what_check_invariants_rejects(self, seed):
+        doc = random_class_document(random.Random(seed))
+        bad = egraph_invariants_oracle(doc)
+        try:
+            loads_egraph(json.dumps(doc))
+        except SerializationError as exc:
+            message = str(exc).removeprefix("e-graph document violates invariants: ")
+            assert message in bad
+        else:
+            assert bad == []

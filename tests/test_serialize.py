@@ -86,6 +86,8 @@ class TestEGraphRoundTrip:
         ([{"id": 0, "nodes": []}], "class 0 has no nodes"),
         ([{"id": 0, "nodes": [{"head": "a", "children": []}]},
           {"id": 0, "nodes": [{"head": "mul", "children": [0, 0]}]}], "duplicate class id 0"),
+        ([{"id": 0, "nodes": [{"head": "a", "children": []}]},
+          {"id": 1, "nodes": [{"head": "a", "children": []}]}], "congruent nodes"),
     ])
     def test_malformed_classes_are_named(self, classes, message):
         with pytest.raises(SerializationError, match=message):
