@@ -437,9 +437,13 @@ def pushout(left: EHomomorphism, right: EHomomorphism) -> PushoutResult:
                     comp_uf.union(compkey_of[elem], key)
 
     # Propagate nesting along undirected connectivity: a parentless element
-    # connected to a placed one joins its box and component class.
-    incidence = [(("e", e), ("v", v)) for e in p.edges for v in p.endpoints(e)]
-    for comp_elems in connected_components(p.elements(), incidence):
+    # connected to a placed one joins its box and component class.  With no
+    # nested element on either side there is nothing to propagate.
+    pieces: list[list[Element]] = []
+    if parent_of:
+        incidence = [(("e", e), ("v", v)) for e in p.edges for v in p.endpoints(e)]
+        pieces = connected_components(p.elements(), incidence)
+    for comp_elems in pieces:
         placed = [el for el in comp_elems if el in parent_of]
         if not placed:
             continue

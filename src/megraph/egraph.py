@@ -33,6 +33,7 @@ from .rewrite import (
     Match,
     RewriteRule,
     apply,
+    edge_cospan,
     extract_subdiagram,
     find_matches,
 )
@@ -370,13 +371,6 @@ def _top_level_producers(c: ExtendedCospan) -> list[int]:
     ]
 
 
-def _producer_cospan(host: ExtendedCospan, e: int) -> tuple[ExtendedCospan, set[Element]]:
-    g = host.carrier
-    elements = down_closure(g, [e])
-    sub, _ = extract_subdiagram(host, elements, list(g.source[e]), list(g.target[e]))
-    return sub, elements
-
-
 def _apply_step(
     steps: list[ReplayStep],
     description: str,
@@ -405,15 +399,15 @@ def _share_producers_step(
     g = host.carrier
     ext_outs = set(host.ext_out_vertices())
     prods = [e for e in _top_level_producers(host) if g.target[e][0] not in ext_outs]
-    subs = [_producer_cospan(host, e) for e in prods]
+    subs = [edge_cospan(host, e) for e in prods]
     # The first isomorphic pair in ``itertools.combinations`` order.
-    pair = next((ix for ix in cs.iso_classes([p for p, _ in subs]) if len(ix) > 1), None)
+    pair = next((ix for ix in cs.iso_classes([p for p, _, _ in subs]) if len(ix) > 1), None)
     if pair is None:
         return None
     i, j = pair[:2]
     rhs = cs.compose(subs[i][0].copy(), cs.generator_cospan(dup_gen))
     return _apply_step(
-        steps, "share duplicate producer", host, subs[i][1] | subs[j][1], [],
+        steps, "share duplicate producer", host, subs[i][2] | subs[j][2], [],
         [g.target[prods[i]][0], g.target[prods[j]][0]], rhs,
     )
 
@@ -498,7 +492,7 @@ def _find_producer_iso(
 ) -> Optional[tuple[int, set[Element], ExtendedCospan]]:
     form = cs.canonical(pattern)
     for e in _top_level_producers(host):
-        sub, elements = _producer_cospan(host, e)
+        sub, _, elements = edge_cospan(host, e)
         sub_form = cs.canonical(sub)
         if sub_form.cert == form.cert and cs.iso(sub, pattern, sub_form, form) is not None:
             return e, elements, sub

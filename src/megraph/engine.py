@@ -89,7 +89,8 @@ def normalize(
     """Apply forward structural schemas to a fixpoint.
 
     ``order`` selects which available step runs first ("first" or "last"),
-    used to probe order-independence.  A box beside a bare wire (as in
+    used to probe order-independence; "first" builds only the instance it
+    applies.  A box beside a bare wire (as in
     ``(f + g) * id:1``) has no tensor-distribution step, because no match
     exists for a left-hand side with a bare wire; such a box is left
     unnormalized.  Raises :class:`EngineError` when a step is still
@@ -101,11 +102,14 @@ def normalize(
     if order not in ("first", "last"):
         raise EngineError(f"unknown normalization order {order!r}")
     cur, steps = c, 0
-    while ms := structural_matches(cur):
+    while True:
+        insts = structural_matches(cur)
+        inst = next(insts if order == "first" else reversed(list(insts)), None)
+        if inst is None:
+            break
         if steps == budget:
             raise EngineError("normalization step budget exceeded")
-        _, match = ms[0] if order == "first" else ms[-1]
-        cur, steps = apply(match), steps + 1
+        cur, steps = apply(inst[1]), steps + 1
     # Rejoined from its components, a top-level box has its wires in
     # external-interface order, whatever order the steps left them in.
     return cs.join(components(cur))

@@ -9,9 +9,11 @@ The structural schemas implement the semilattice laws (distribution over
 alternatives, flattening of nested alternative boxes, idempotence and
 singleton unboxing); each schema instance is synthesised as an ordinary
 concrete rule plus match, so the single generic engine covers every rewrite.
-``choose`` replaces a box by one of its alternatives; it builds the
-right-hand sides of distribution and flattening, the alternatives that
-``components`` lists, and each pruning step of extraction.
+An alternative is read out of its box by copying (``component_cospan``);
+``components`` and the flattening and idempotence right-hand sides are built
+so.  ``choose`` replaces a box by one of its alternatives by gluing, which is
+needed only where a context surrounds the box: the right-hand sides of
+distribution and each pruning step of extraction.
 """
 
 from __future__ import annotations
@@ -122,12 +124,12 @@ def monomorphisms(
     """All injective structure-preserving maps from ``pat`` into ``host``.
 
     Top-level pattern elements may land inside host boxes (nested matches);
-    nested pattern structure must be preserved exactly.
+    nested pattern structure must be preserved exactly.  These are the maps
+    of ``core.embeddings``, which preserve labels, ports, parents and
+    components by construction.
     """
     for vmap, emap in embeddings(pat, host):
-        hom = EHomomorphism(dom=pat, cod=host, vmap=vmap, emap=emap)
-        if hom.is_valid():
-            yield hom
+        yield EHomomorphism(dom=pat, cod=host, vmap=vmap, emap=emap)
 
 
 def _glue_vertices(m: Match) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -376,15 +378,27 @@ def component_cospan(host: ExtendedCospan, box: int, comp: int) -> ExtendedCospa
     which positionally matches the box's source/target order.
     """
     hg = host.carrier
-    members = hg.alternatives(box)[comp]
-    elements = down_closure(hg, [i for k, i in members if k == "e"])
-    vs = [i for k, i in members if k == "v"]
+    vs = [v for v in hg.vertices if hg.vparent.get(v) == box and hg.vcomp[v] == comp]
+    elements = down_closure(hg, [e for e in hg.edges
+                                 if hg.eparent.get(e) == box and hg.ecomp[e] == comp])
     elements.update(("v", v) for v in vs)
     host_in, host_out = set(host.int_in), set(host.int_out)
     ins = _host_ordered(host, [v for v in vs if v in host_in], "in")
     outs = _host_ordered(host, [v for v in vs if v in host_out], "out")
     cospan, _ = extract_subdiagram(host, elements, ins, outs)
     return cospan
+
+
+def edge_cospan(
+    host: ExtendedCospan, e: int
+) -> tuple[ExtendedCospan, EHomomorphism, set[Element]]:
+    """Edge ``e`` with everything nested in it, as a cospan whose external
+    interface is ``e``'s sources and targets; with its embedding into the
+    host carrier and the host elements it covers."""
+    g = host.carrier
+    elements = down_closure(g, [e])
+    cospan, hom = extract_subdiagram(host, elements, g.source[e], g.target[e])
+    return cospan, hom, elements
 
 
 # ---------------------------------------------------------------------------
@@ -398,7 +412,9 @@ def choose(c: ExtendedCospan, box: int, k: int) -> ExtendedCospan:
 
     The box and everything nested in it are removed, and the alternative is
     glued into the hole along the box's endpoints: its external inputs
-    (outputs) meet the box's sources (targets) in order.
+    (outputs) meet the box's sources (targets) in order.  This is a gluing
+    of context around an alternative, as distribution and pruning need; an
+    alternative read out of a box on its own is a copy (``components``).
     """
     g = c.carrier
     removed = down_closure(g, [box]) - {("v", v) for v in g.endpoints(box)}
@@ -421,11 +437,22 @@ def _top_box(c: ExtendedCospan) -> Optional[int]:
 
 def components(c: ExtendedCospan) -> list[ExtendedCospan]:
     """The alternatives of a top-level alternative box, each with ``c``'s
-    interface, or ``[c]`` itself."""
+    interface, or ``[c]`` itself.
+
+    Each alternative is copied out with ``component_cospan``, and its
+    external positions are permuted to ``c``'s: external input ``i`` is the
+    alternative's input at the box source that ``c``'s external input ``i``
+    is, and likewise for outputs.  So a crossing in front of the box stays."""
     box = _top_box(c)
     if box is None:
         return [c]
-    return [choose(c, box, k) for k in c.carrier.alternatives(box)]
+    g = c.carrier
+    ext_in = tuple(g.source[box].index(v) for v in c.ext_in_vertices())
+    ext_out = tuple(g.target[box].index(v) for v in c.ext_out_vertices())
+    return [
+        ExtendedCospan(part.carrier, part.int_in, part.int_out, ext_in, ext_out)
+        for part in (component_cospan(c, box, k) for k in g.alternatives(box))
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -438,30 +465,16 @@ class StructuralSchema:
     schema_id: str
 
 
-def _box_instances(host: ExtendedCospan) -> list[int]:
-    hg = host.carrier
-    return sorted(
-        (e for e in hg.edges if hg.label[e] is None),
-        key=lambda e: (hg.depth(("e", e)), e),
-    )
-
-
 def _sibling_match(
     host: ExtendedCospan, elements: set[Element], lhs: ExtendedCospan,
     hom: EHomomorphism, rhs: ExtendedCospan, schema: str, name: str,
 ) -> Optional[tuple[StructuralSchema, Match]]:
-    if not is_convex(host.carrier, elements):
-        return None
+    """The instance of a schema on a convex region of the host."""
     try:
         rule = RewriteRule(name=name, lhs=lhs, rhs=rhs)
     except RuleError:
         return None
     return StructuralSchema(schema), Match(rule=rule, hom=hom, host=host)
-
-
-def _preimage(hom: EHomomorphism, e: int) -> int:
-    """The edge of ``hom``'s domain that lands on ``e``."""
-    return next(x for x, y in hom.emap.items() if y == e)
 
 
 def _host_ordered(host: ExtendedCospan, vs: Sequence[int], side: str) -> list[int]:
@@ -472,13 +485,23 @@ def _host_ordered(host: ExtendedCospan, vs: Sequence[int], side: str) -> list[in
 
 
 def _dist_instance(
-    host: ExtendedCospan, e: int, box: int, schema: str
+    host: ExtendedCospan, e: int, box: int
 ) -> Optional[tuple[StructuralSchema, Match]]:
     """Absorb a sibling edge that feeds, is fed by, or runs beside a box into
     every alternative: the context around the box equals the join of that
-    context around each alternative."""
+    context around each alternative.  Of the schemas, only this region (two
+    edges) can be non-convex; a box with its contents and endpoints is
+    convex in an acyclic host."""
     hg = host.carrier
     elements = down_closure(hg, [e, box])
+    if not is_convex(hg, elements):
+        return None
+    if set(hg.target[e]) & set(hg.source[box]):
+        schema = "SeqDistL"
+    elif set(hg.source[e]) & set(hg.target[box]):
+        schema = "SeqDistR"
+    else:
+        schema = "TensDistL"
     produced = set(hg.target[e] + hg.target[box])
     consumed = set(hg.source[e] + hg.source[box])
     lhs, hom = extract_subdiagram(
@@ -487,7 +510,7 @@ def _dist_instance(
         _host_ordered(host, list(consumed - produced), "in"),
         _host_ordered(host, list(produced - consumed), "out"),
     )
-    lbox = _preimage(hom, box)
+    lbox = next(x for x, y in hom.emap.items() if y == box)
     rhs = join_raw([choose(lhs, lbox, k) for k in lhs.carrier.alternatives(lbox)])
     return _sibling_match(host, elements, lhs, hom, rhs, schema, f"dist-{schema}")
 
@@ -495,79 +518,52 @@ def _dist_instance(
 def _flatten_instance(
     host: ExtendedCospan, outer: int, inner: int
 ) -> Optional[tuple[StructuralSchema, Match]]:
-    """Splice a component that consists of exactly one box into its parent."""
+    """Splice a component that consists of exactly one box into its parent:
+    the outer box's alternatives, with that one replaced by the inner box's."""
     hg = host.carrier
     comp = hg.ecomp[inner]
     alternatives = hg.alternatives(outer)
     if set(alternatives[comp]) != {("e", inner)} | {("v", v) for v in hg.endpoints(inner)}:
         return None
-    elements = down_closure(hg, [outer])
-    lhs, hom = extract_subdiagram(
-        host, elements, list(hg.source[outer]), list(hg.target[outer])
-    )
-    louter = _preimage(hom, outer)
-    parts = []
-    for c in alternatives:
-        part = choose(lhs, louter, c)
-        parts.extend(components(part) if c == comp else [part])
-    rhs = join_raw(parts)
+    lhs, hom, elements = edge_cospan(host, outer)
+    parts = components(lhs)
+    i = list(alternatives).index(comp)
+    rhs = join_raw(parts[:i] + components(parts[i]) + parts[i + 1:])
     return _sibling_match(host, elements, lhs, hom, rhs, "Flatten", "flatten")
 
 
-def _idem_instances(
+def _idem_instance(
     host: ExtendedCospan, box: int
-) -> list[tuple[StructuralSchema, Match]]:
+) -> Optional[tuple[StructuralSchema, Match]]:
     """Drop a duplicate component, or unbox a two-component box of duplicates."""
     hg = host.carrier
     parts = [component_cospan(host, box, c) for c in hg.alternatives(box)]
     # The earliest component with a later duplicate, and its first duplicate.
     dup = next((ix for ix in iso_classes(parts) if len(ix) > 1), None)
     if dup is None:
-        return []
-    elements = down_closure(hg, [box])
-    lhs, hom = extract_subdiagram(
-        host, elements, list(hg.source[box]), list(hg.target[box])
-    )
+        return None
+    lhs, hom, elements = edge_cospan(host, box)
     if len(parts) >= 3:
         rhs = join_raw([p for i, p in enumerate(parts) if i != dup[1]])
-        inst = _sibling_match(host, elements, lhs, hom, rhs, "Idem", "idem")
-    else:
-        rhs = parts[dup[0]]
-        inst = _sibling_match(
-            host, elements, lhs, hom, rhs, "Singleton-absorb", "singleton"
-        )
-    return [inst] if inst else []
+        return _sibling_match(host, elements, lhs, hom, rhs, "Idem", "idem")
+    return _sibling_match(host, elements, lhs, hom, parts[dup[0]], "Singleton-absorb",
+                          "singleton")
 
 
 def structural_matches(
     host: ExtendedCospan,
-) -> list[tuple[StructuralSchema, Match]]:
-    """Forward structural-rule instances present in the host, outermost first."""
+) -> Iterator[tuple[StructuralSchema, Match]]:
+    """Forward structural-rule instances present in the host, outermost
+    first; each box's flattenings, then its idempotence, then its
+    distributions over sibling edges.  An instance is built only when the
+    caller asks for it."""
     hg = host.carrier
-    out: list[tuple[StructuralSchema, Match]] = []
-    for box in _box_instances(host):
+    for box in sorted((e for e in hg.edges if hg.is_box(e)),
+                      key=lambda e: (hg.depth(("e", e)), e)):
         placement = hg.placement(("e", box))
-        # Flattening of directly nested boxes.
-        for kind, i in hg.children(box):
-            if kind == "e" and hg.label[i] is None:
-                inst = _flatten_instance(host, box, i)
-                if inst:
-                    out.append(inst)
-        out.extend(_idem_instances(host, box))
-        siblings = sorted(
-            e
-            for e in hg.edges
-            if e != box and hg.placement(("e", e)) == placement
-        )
-        box_src, box_tgt = set(hg.source[box]), set(hg.target[box])
-        for e in siblings:
-            if set(hg.target[e]) & box_src:
-                schema = "SeqDistL"
-            elif set(hg.source[e]) & box_tgt:
-                schema = "SeqDistR"
-            else:
-                schema = "TensDistL"
-            inst = _dist_instance(host, e, box, schema)
-            if inst:
-                out.append(inst)
-    return out
+        yield from filter(None, (_flatten_instance(host, box, i) for kind, i in hg.children(box)
+                                 if kind == "e" and hg.is_box(i)))
+        if idem := _idem_instance(host, box):
+            yield idem
+        siblings = sorted(e for e in hg.edges if e != box and hg.placement(("e", e)) == placement)
+        yield from filter(None, (_dist_instance(host, e, box) for e in siblings))

@@ -6,8 +6,10 @@ isomorphism oracle filters it for bijections that line up the slots, the
 complement oracle enumerates every candidate subgraph of the host, the
 equational oracle works on term syntax only, and the saturation oracle is
 the restart-after-every-addition loop that the worklist replaced.  The
-checkers and writers at the end are the straightforward versions that the
-one-pass checks and the direct JSON emitters replaced.
+alternative builders glue each alternative into its box's place, as
+``components`` and flattening did before they copied it out.  The checkers
+and writers at the end are the straightforward versions that the one-pass
+checks and the direct JSON emitters replaced.
 """
 
 from __future__ import annotations
@@ -17,12 +19,27 @@ import json
 from collections import Counter
 from typing import Any, Iterator, Optional
 
-from megraph.core import EHypergraph, EHomomorphism, Element, Signature, is_acyclic
+from megraph.core import (
+    EHypergraph,
+    EHomomorphism,
+    Element,
+    Signature,
+    down_closure,
+    is_acyclic,
+)
 from megraph.cospan import ExtendedCospan, PushoutPreconditionError, pushout
 from megraph import cospan as cs
 from megraph.egraph import EGraph, ENode
 from megraph.engine import SaturationResult, Strategy, components
-from megraph.rewrite import Match, apply, boundary_complement, find_matches
+from megraph.rewrite import (
+    Match,
+    _top_box,
+    apply,
+    boundary_complement,
+    choose,
+    extract_subdiagram,
+    find_matches,
+)
 from megraph.serialize import (
     SerializationError,
     canonical_renumber,
@@ -391,6 +408,37 @@ def saturate_oracle(c: ExtendedCospan, s: Strategy) -> SaturationResult:
             return SaturationResult(result, steps, True)
     result = c if steps == 0 else (comps[0] if len(comps) == 1 else cs.join(comps))
     return SaturationResult(result, steps, False)
+
+
+# ---------------------------------------------------------------------------
+# Alternatives built by gluing
+# ---------------------------------------------------------------------------
+
+
+def components_oracle(c: ExtendedCospan) -> list[ExtendedCospan]:
+    """``components`` by gluing: each alternative of the top-level box is
+    ``c`` with the box replaced by it (``choose``)."""
+    box = _top_box(c)
+    if box is None:
+        return [c]
+    return [choose(c, box, k) for k in c.carrier.alternatives(box)]
+
+
+def flatten_rhs_oracle(host: ExtendedCospan, outer: int, inner: int) -> ExtendedCospan:
+    """The right-hand side of the flattening instance of ``inner`` in
+    ``outer``, by gluing: each alternative of the outer box is chosen in its
+    left-hand side, and the one that is the inner box is split into the
+    inner box's glued alternatives."""
+    hg = host.carrier
+    lhs, hom = extract_subdiagram(
+        host, down_closure(hg, [outer]), list(hg.source[outer]), list(hg.target[outer])
+    )
+    louter = next(x for x, y in hom.emap.items() if y == outer)
+    parts = []
+    for k in hg.alternatives(outer):
+        part = choose(lhs, louter, k)
+        parts.extend(components_oracle(part) if k == hg.ecomp[inner] else [part])
+    return cs.join_raw(parts)
 
 
 # ---------------------------------------------------------------------------

@@ -500,7 +500,7 @@ def test_acceptance_6_mda_preservation():
             t2 = random_term(rng, 1, 1, size=1)
             ctx = Gen(rng.choice("fgh"))
             host = interpret(Comp(ctx, Join((t1, t2))), BASIC)
-            insts = structural_matches(host)
+            insts = list(structural_matches(host))
             if not insts:
                 continue
             try:

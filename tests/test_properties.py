@@ -33,6 +33,7 @@ from megraph.engine import Strategy, _top_box, components, normalize, saturate
 from megraph.rewrite import (
     NoComplement,
     RewriteRule,
+    _flatten_instance,
     _glue_vertices,
     _interface_images_admissible,
     apply,
@@ -48,15 +49,17 @@ from megraph.serialize import (
     loads_cospan,
     loads_egraph,
 )
-from megraph.term import Comp, Gen, Join, Sym, Tensor, interpret, print_term
+from megraph.term import Comp, Gen, Id, Join, Sym, Tensor, interpret, print_term
 
 from .helpers import BASIC, expand, interp, random_term, same_alternatives
 from .oracles import (
     all_homs,
+    components_oracle,
     degrees_oracle,
     dumps_cospan_oracle,
     dumps_egraph_oracle,
     egraph_invariants_oracle,
+    flatten_rhs_oracle,
     induced,
     is_mda_well_typed_oracle,
     iso_oracle,
@@ -274,13 +277,43 @@ def is_iso(h):
     return inv.is_valid()
 
 
+def split_box(rng, n, context=False):
+    """A box of two ``n -> n`` alternatives over f and g: the first a bare
+    wire, two pieces side by side or one piece, the second a piece.  So one
+    component of a pattern box can meet its material spread over several
+    host components, and a bare wire is a nested vertex that no edge
+    reaches.  With ``context``, a third alternative, and a piece or a second
+    such box before or after the box."""
+    unary = [Gen("f"), Gen("g")]
+
+    def piece():
+        return rng.choice(unary) if n == 1 else Tensor(rng.choice(unary), rng.choice(unary))
+
+    first = [Id(n), piece()]
+    first += [Tensor(rng.choice(unary), Id(1)), Tensor(Id(1), rng.choice(unary))] \
+        if n == 2 else [Comp(rng.choice(unary), rng.choice(unary))]
+    alternatives = [rng.choice(first), piece()]
+    if context:
+        alternatives.append(rng.choice(first))
+    c = join_raw([interpret(t, BASIC) for t in alternatives])
+    if context:
+        other = split_box(rng, n) if rng.random() < 0.5 else interpret(piece(), BASIC)
+        c = compose(c, other) if rng.random() < 0.5 else compose(other, c)
+    return c
+
+
 class TestMatcherAgainstOracle:
     @given(seeds)
     @MATCHING
     def test_monomorphisms_are_the_injective_homomorphisms(self, seed):
         rng = random.Random(seed)
-        host = random_diagram(rng).carrier
-        pat = random_diagram(rng, max_elements=7).carrier
+        if rng.random() < 0.5:
+            host = random_diagram(rng).carrier
+            pat = random_diagram(rng, max_elements=7).carrier
+        else:
+            n = rng.choice([1, 2])
+            host = split_box(rng, n, context=True).carrier
+            pat = split_box(rng, n).carrier
         found = [as_key(h.vmap, h.emap) for h in monomorphisms(pat, host)]
         expected = {as_key(h.vmap, h.emap) for h in all_homs(pat, host) if h.is_mono()}
         assert len(found) == len(set(found))
@@ -324,12 +357,17 @@ def iso_diagram(rng):
     return c
 
 
-def shuffled_cospan(c, rng, tweak=False):
+def shuffled_cospan(c, rng, tweak=False, renumber=True):
     """An isomorphic copy of ``c`` (see ``shuffled_copy``) whose slots are
     interleaved anew, keeping the external order and the order within each
     block of strict slots.  With ``tweak``, two slots of one block or two
-    external slots then trade places, which may break the isomorphism."""
-    h, vmap = shuffled_copy(c.carrier, rng)
+    external slots then trade places, which may break the isomorphism.
+    Without ``renumber``, the copy keeps ``c``'s carrier and only its slots
+    are listed anew."""
+    if renumber:
+        h, vmap = shuffled_copy(c.carrier, rng)
+    else:
+        h, vmap = c.carrier.copy(), {v: v for v in c.carrier.vertices}
     sides = []
     for slots, ext in ((c.int_in, c.ext_in), (c.int_out, c.ext_out)):
         block_of = [("ext", ext.index(p)) if p in ext else c.carrier.placement(("v", v))
@@ -602,6 +640,47 @@ class TestNormalizeAgainstExpansion:
         t = random_branching_term(rng, rng.choice([1, 2, 2]), rng.choice([1, 2]))
         expected = [print_term(u) for u in expand(t)]
         assert same_alternatives(normalize(interpret(t, BASIC)), expected, BASIC)
+
+
+# ---------------------------------------------------------------------------
+# Alternatives copied out of boxes against the glued ones
+# ---------------------------------------------------------------------------
+
+
+def certificates(parts):
+    return [certificate(p) for p in parts]
+
+
+def nested_boxes(g):
+    """Every (outer, inner) pair of boxes with ``inner`` directly in ``outer``."""
+    return [(g.eparent[e], e) for e in g.edges if g.is_box(e) and e in g.eparent]
+
+
+def assert_alternatives_match_the_oracles(c):
+    """``components(c)`` and every flattening right-hand side in ``c`` are
+    the glued oracles' alternatives, by certificate and in order."""
+    assert certificates(components(c)) == certificates(components_oracle(c))
+    for outer, inner in nested_boxes(c.carrier):
+        inst = _flatten_instance(c, outer, inner)
+        if inst is not None:
+            want = flatten_rhs_oracle(c, outer, inner)
+            got = inst[1].rule.rhs
+            assert certificates(components_oracle(got)) == certificates(components_oracle(want))
+
+
+class TestAlternativesAgainstGluing:
+    @given(seeds)
+    @settings(max_examples=200, deadline=None)
+    def test_copied_alternatives_are_the_glued_ones(self, seed):
+        """On random nested joins with crossings in front of boxes, as built
+        and as loaded documents whose slots are listed in another order, so
+        that their external positions are not increasing."""
+        rng = random.Random(seed)
+        c = interpret(random_branching_term(rng, rng.choice([1, 2, 2]), rng.choice([1, 2])),
+                      BASIC)
+        if rng.random() < 0.5:
+            c = loads_cospan(dumps_cospan(shuffled_cospan(c, rng, renumber=False)))
+        assert_alternatives_match_the_oracles(c)
 
 
 # ---------------------------------------------------------------------------

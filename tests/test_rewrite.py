@@ -1,24 +1,38 @@
 """Unit tests for rules, match enumeration, boundary complements, rewriting,
 and the structural (box-manipulating) schema rules."""
 
+import json
+
 import pytest
 
-from megraph.cospan import identity_cospan, is_mda_well_typed, iso, join, join_raw
+from megraph.cospan import (
+    certificate,
+    identity_cospan,
+    is_mda_well_typed,
+    iso,
+    join,
+    join_raw,
+)
+from megraph.engine import Strategy, saturate
 from megraph.rewrite import (
     Match,
     NoComplement,
     RewriteRule,
     RuleError,
+    _flatten_instance,
     apply,
     boundary_complement,
+    components,
     find_matches,
     monomorphisms,
     rule_from_terms,
     structural_matches,
 )
+from megraph.serialize import dumps_cospan, loads_cospan
 from megraph.term import parse
 
 from .helpers import ARITH, BASIC, interp, same_alternatives
+from .oracles import components_oracle, flatten_rhs_oracle
 
 
 class TestRuleConstruction:
@@ -160,7 +174,7 @@ class TestApply:
 class TestStructuralMatches:
     def test_seq_dist_forward_instance(self):
         host = interp("h ; (f + g)")
-        insts = structural_matches(host)
+        insts = list(structural_matches(host))
         assert any(s.schema_id == "SeqDistL" for s, _ in insts)
         sm = next(m for s, m in insts if s.schema_id == "SeqDistL")
         assert iso(apply(sm), interp("(h ; f) + (h ; g)")) is not None
@@ -178,7 +192,7 @@ class TestStructuralMatches:
         assert iso(apply(sm), interp("(h * f) + (h * g)")) is not None
 
     def test_box_free_host_has_no_instances(self):
-        assert structural_matches(interp("f ; g")) == []
+        assert list(structural_matches(interp("f ; g"))) == []
 
     def test_idem_forward_collapses_duplicates(self):
         host = join_raw([interp("f"), interp("f")])
@@ -205,3 +219,48 @@ class TestStructuralMatches:
         assert same_alternatives(
             apply(sm), ["sym:1,1 ; (f * g)", "sym:1,1 ; (g * f)", "h * h"]
         )
+
+
+def certificates(parts):
+    return [certificate(p) for p in parts]
+
+
+def flatten_rhs(host):
+    """The right-hand side of the one flattening instance in ``host``, and
+    the glued oracle's."""
+    g = host.carrier
+    ((outer, inner),) = [(g.eparent[e], e) for e in g.edges if g.is_box(e) and e in g.eparent]
+    return _flatten_instance(host, outer, inner)[1].rule.rhs, flatten_rhs_oracle(host, outer, inner)
+
+
+class TestCopiedAlternatives:
+    """Crossings that the builders have lost before: each alternative keeps
+    the diagram's interface, equal to the glued oracle's and in order."""
+
+    def test_a_crossing_in_front_of_the_top_box_stays(self):
+        c = interp("sym:1,1 ; ((f * g) + (g * g))")
+        want = [interp("sym:1,1 ; (f * g)"), interp("sym:1,1 ; (g * g)")]
+        assert certificates(components(c)) == certificates(components_oracle(c)) \
+            == certificates(want)
+
+    def test_a_crossing_in_front_of_a_nested_box_stays(self):
+        rhs, oracle = flatten_rhs(interp("(sym:1,1 ; ((f * g) + (g * f))) + (h * h)"))
+        want = [interp("sym:1,1 ; (f * g)"), interp("sym:1,1 ; (g * f)"), interp("h * h")]
+        assert certificates(components(rhs)) == certificates(components_oracle(oracle)) \
+            == certificates(want)
+
+    def test_a_loaded_document_keeps_its_external_order(self):
+        doc = json.loads(dumps_cospan(interp("f * g")))
+        doc["ext_in"] = [1, 0]
+        crossed = loads_cospan(json.dumps(doc))
+        c = join_raw([crossed, interp("h * g")])
+        want = [interp("sym:1,1 ; (f * g)"), interp("h * g")]
+        assert certificates(components(c)) == certificates(components_oracle(c)) \
+            == certificates(want)
+        rhs, oracle = flatten_rhs(join_raw([c, interp("h * h")]))
+        assert certificates(components(rhs)) == certificates(components_oracle(oracle)) \
+            == certificates(want + [interp("h * h")])
+        rule = rule_from_terms("r", parse("f"), parse("h"), BASIC)
+        res = saturate(crossed, Strategy(rules=[rule]))
+        assert certificates(components(res.result)) == \
+            certificates([interp("sym:1,1 ; (f * g)"), interp("sym:1,1 ; (h * g)")])
