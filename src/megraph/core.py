@@ -352,8 +352,13 @@ def validate(g: EHypergraph, sig: Optional[Signature] = None) -> list[str]:
 def degrees(g: EHypergraph) -> dict[int, tuple[int, int]]:
     """(in-degree, out-degree) of every vertex, counting multiplicity, from
     one pass over the edges.  An endpoint that names no vertex is ignored."""
-    ind = dict.fromkeys(g.vertices, 0)
-    outd = dict.fromkeys(g.vertices, 0)
+    return _degrees(g, g.vertices)
+
+
+def _degrees(g: EHypergraph, vs: Iterable[int]) -> dict[int, tuple[int, int]]:
+    """``degrees`` of the vertices ``vs`` only."""
+    ind = dict.fromkeys(vs, 0)
+    outd = dict.fromkeys(ind, 0)
     for e in g.edges:
         for v in g.target[e]:
             if v in ind:
@@ -361,7 +366,7 @@ def degrees(g: EHypergraph) -> dict[int, tuple[int, int]]:
         for v in g.source[e]:
             if v in outd:
                 outd[v] += 1
-    return {v: (ind[v], outd[v]) for v in g.vertices}
+    return {v: (ind[v], outd[v]) for v in ind}
 
 
 def is_acyclic(g: EHypergraph) -> bool:
@@ -400,6 +405,12 @@ def reach(g: EHypergraph, starts: set[int]) -> tuple[set[int], set[int]]:
     """(forward, backward) reach of a vertex set along directed edges: the
     vertices some start reaches, and the vertices that reach some start.
     Both include the starts."""
+    succ, pred = _adjacency(g)
+    return _close(succ, starts), _close(pred, starts)
+
+
+def _adjacency(g: EHypergraph) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
+    """(successors, predecessors) of every vertex along directed edges."""
     succ: dict[int, set[int]] = {v: set() for v in g.vertices}
     pred: dict[int, set[int]] = {v: set() for v in g.vertices}
     for e in g.edges:
@@ -407,26 +418,35 @@ def reach(g: EHypergraph, starts: set[int]) -> tuple[set[int], set[int]]:
             succ[u].update(g.target[e])
         for w in g.target[e]:
             pred[w].update(g.source[e])
+    return succ, pred
 
-    def close(rel: dict[int, set[int]]) -> set[int]:
-        seen = set(starts)
-        todo = list(seen)
-        while todo:
-            for w in rel[todo.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    todo.append(w)
-        return seen
 
-    return close(succ), close(pred)
+def _close(rel: dict[int, set[int]], starts: set[int]) -> set[int]:
+    """The vertices that ``rel`` leads to from ``starts``, starts included."""
+    seen = set(starts)
+    todo = list(seen)
+    while todo:
+        for w in rel[todo.pop()]:
+            if w not in seen:
+                seen.add(w)
+                todo.append(w)
+    return seen
 
 
 def is_convex(g: EHypergraph, sub: set[Element]) -> bool:
     """True when every directed path between vertices of ``sub`` stays in ``sub``."""
+    return _is_convex(g, sub, *_adjacency(g))
+
+
+def _is_convex(
+    g: EHypergraph, sub: set[Element], succ: dict[int, set[int]], pred: dict[int, set[int]]
+) -> bool:
+    """``is_convex`` on the adjacency of ``g``, so that one adjacency serves
+    many candidate subgraphs."""
     sub_vs = {i for k, i in sub if k == "v"}
     if not sub_vs:
         return True
-    fwd, bwd = reach(g, sub_vs)
+    fwd, bwd = _close(succ, sub_vs), _close(pred, sub_vs)
     # A vertex lies on some sub-to-sub path iff it is both reachable from sub
     # and reaches sub; an edge does iff one of its sources is reachable and
     # one of its targets reaches back.
@@ -601,53 +621,52 @@ class EHomomorphism:
         return (kind, self.vmap[i] if kind == "v" else self.emap[i])
 
     def violations(self) -> list[str]:
+        """What keeps this map from being a homomorphism: unmapped elements
+        and images outside the codomain, then labels and ports; when those
+        all hold, immediate parents (vertices, then edges) and consistency
+        groups (in order of first appearance)."""
+        dom, cod, vmap, emap = self.dom, self.cod, self.vmap, self.emap
+        cod_vs, cod_es = set(cod.vertices), set(cod.edges)
         report: list[str] = []
-        cod_vs = set(self.cod.vertices)
-        cod_es = set(self.cod.edges)
-        for v in self.dom.vertices:
-            if v not in self.vmap:
-                report.append(f"vertex {v} unmapped")
-            elif self.vmap[v] not in cod_vs:
-                report.append(f"vertex {v} maps outside codomain")
-        for e in self.dom.edges:
-            if e not in self.emap:
-                report.append(f"edge {e} unmapped")
-                continue
-            img = self.emap[e]
-            if img not in cod_es:
-                report.append(f"edge {e} maps outside codomain")
-                continue
-            if self.dom.label[e] != self.cod.label[img]:
-                report.append(f"edge {e}: label not preserved")
-            try:
-                src = tuple(self.vmap[v] for v in self.dom.source[e])
-                tgt = tuple(self.vmap[v] for v in self.dom.target[e])
-            except KeyError:
-                continue
-            if src != self.cod.source[img] or tgt != self.cod.target[img]:
-                report.append(f"edge {e}: sources/targets not preserved")
+        parents: list[str] = []
+        # (box, component) of the domain -> placements of its members' images
+        groups: dict[tuple[int, int], set[tuple[Optional[int], Optional[int]]]] = {}
+        for kind, xs, imap, within, dparent, dcomp, cparent, ccomp in (
+            ("vertex", dom.vertices, vmap, cod_vs, dom.vparent, dom.vcomp, cod.vparent, cod.vcomp),
+            ("edge", dom.edges, emap, cod_es, dom.eparent, dom.ecomp, cod.eparent, cod.ecomp),
+        ):
+            for x in xs:
+                if x not in imap:
+                    report.append(f"{kind} {x} unmapped")
+                    continue
+                y = imap[x]
+                if y not in within:
+                    report.append(f"{kind} {x} maps outside codomain")
+                    continue
+                if kind == "edge":
+                    if dom.label[x] != cod.label[y]:
+                        report.append(f"edge {x}: label not preserved")
+                    ends = dom.source[x] + dom.target[x]
+                    if all(v in vmap for v in ends) and (
+                        tuple([vmap[v] for v in dom.source[x]]) != cod.source[y]
+                        or tuple([vmap[v] for v in dom.target[x]]) != cod.target[y]
+                    ):
+                        report.append(f"edge {x}: sources/targets not preserved")
+                p = dparent.get(x)
+                if p is None:
+                    continue
+                if cparent.get(y) != emap.get(p):
+                    parents.append(f"{(kind[0], x)}: immediate parent not preserved")
+                c = dcomp.get(x)
+                if c is not None:
+                    groups.setdefault((p, c), set()).add((cparent.get(y), ccomp.get(y)))
         if report:
             return report
-        # Immediate parents.
-        for elem in self.dom.elements():
-            p = self.dom.parent_of(elem)
-            if p is None:
-                continue
-            img_parent = self.cod.parent_of(self.apply(elem))
-            if img_parent != self.emap.get(p):
-                report.append(f"{elem}: immediate parent not preserved")
-        # Consistency: elements sharing a (box, component) placement must map
-        # to elements sharing a placement.
-        groups: dict[tuple[int, int], list[Element]] = {}
-        for elem in self.dom.elements():
-            p, c = self.dom.placement(elem)
-            if p is not None and c is not None:
-                groups.setdefault((p, c), []).append(elem)
-        for key, members in groups.items():
-            placements = {self.cod.placement(self.apply(x)) for x in members}
-            if len(placements) > 1 or (None, None) in placements:
-                report.append(f"consistency group {key}: not preserved")
-        return report
+        return parents + [
+            f"consistency group {key}: not preserved"
+            for key, placements in groups.items()
+            if len(placements) > 1 or (None, None) in placements
+        ]
 
     def is_valid(self) -> bool:
         return not self.violations()

@@ -123,23 +123,30 @@ def validate_cospan(c: ExtendedCospan, sig: Optional[Signature] = None) -> list[
 
 def is_mda_well_typed(c: ExtendedCospan) -> list[str]:
     """Monogamous-directed-acyclic and box-typing conditions; [] when all hold."""
-    report: list[str] = []
     g = c.carrier
-    if not is_acyclic(g):
-        report.append("carrier has a directed cycle")
-    ins, outs = set(c.int_in), set(c.int_out)
-    if len(ins) != len(c.int_in):
+    report = [] if is_acyclic(g) else ["carrier has a directed cycle"]
+    return report + _slot_report(c.int_in, c.int_out, degrees(g)) + _box_typing(c)
+
+
+def _slot_report(
+    int_in: Sequence[int], int_out: Sequence[int], deg: dict[int, tuple[int, int]]
+) -> list[str]:
+    """Injective internal interfaces, and at each vertex of ``deg`` at most
+    one producer and one consumer, with in-degree (out-degree) 0 exactly at
+    an input (output) slot."""
+    report: list[str] = []
+    ins, outs = set(int_in), set(int_out)
+    if len(ins) != len(int_in):
         report.append("input internal interface not injective")
-    if len(outs) != len(c.int_out):
+    if len(outs) != len(int_out):
         report.append("output internal interface not injective")
-    for v, (ind, outd) in degrees(g).items():
+    for v, (ind, outd) in deg.items():
         if ind > 1 or outd > 1:
             report.append(f"vertex {v}: degree above 1 (in={ind}, out={outd})")
         if (ind == 0) != (v in ins):
             report.append(f"vertex {v}: in-degree-0 iff input-slot violated")
         if (outd == 0) != (v in outs):
             report.append(f"vertex {v}: out-degree-0 iff output-slot violated")
-    report.extend(_box_typing(c))
     return report
 
 
@@ -359,27 +366,25 @@ class _UnionFind:
 def check_pushout_preconditions(
     left: EHomomorphism, right: EHomomorphism
 ) -> list[int]:
-    """Return the list of violated precondition numbers (see class docstring)."""
-    violated: list[int] = []
-    z = left.dom
-    if z.edges:
-        violated.append(1)
-    x, y = left.cod, right.cod
-    anc_f = {frozenset(x.ancestors(("v", left.vmap[v]))) for v in z.vertices}
-    anc_g = {frozenset(y.ancestors(("v", right.vmap[v]))) for v in z.vertices}
-    if len(anc_f) > 1 or len(anc_g) > 1:
-        violated.append(2)
+    """Return the list of violated precondition numbers (see class docstring),
+    from one pass over the glue points.  In a nesting forest two vertices
+    have equal ancestor chains exactly when they have the same immediate
+    parent, so precondition (2) compares parents."""
+    z, x, y = left.dom, left.cod, right.cod
+    fv, gv = left.vmap, right.vmap
+    first = None
+    parents = places = both = False
     for v in z.vertices:
-        if x.vparent.get(left.vmap[v]) is not None and y.vparent.get(
-            right.vmap[v]
-        ) is not None:
-            violated.append(3)
-            break
-    place_f = {x.placement(("v", left.vmap[v])) for v in z.vertices}
-    place_g = {y.placement(("v", right.vmap[v])) for v in z.vertices}
-    if len(place_f) > 1 or len(place_g) > 1:
-        violated.append(4)
-    return violated
+        a, b = fv[v], gv[v]
+        pa, pb = x.vparent.get(a), y.vparent.get(b)
+        place = (pa, x.vcomp.get(a), pb, y.vcomp.get(b))
+        if first is None:
+            first = place
+        elif place != first:
+            places = True
+            parents = parents or (pa, pb) != (first[0], first[2])
+        both = both or (pa is not None and pb is not None)
+    return [n for n, bad in ((1, bool(z.edges)), (2, parents), (3, both), (4, places)) if bad]
 
 
 def pushout(left: EHomomorphism, right: EHomomorphism) -> PushoutResult:

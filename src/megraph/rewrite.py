@@ -26,15 +26,21 @@ from .core import (
     EHypergraph,
     Element,
     Signature,
+    _adjacency,
+    _degrees,
+    _is_convex,
     connected_components,
     copy_into,
     down_closure,
     embeddings,
+    is_acyclic,
     is_convex,
 )
 from .cospan import (
     ExtendedCospan,
     PushoutPreconditionError,
+    _box_typing,
+    _slot_report,
     glue,
     is_mda_well_typed,
     iso_classes,
@@ -157,6 +163,7 @@ def find_matches(rule: RewriteRule, host: ExtendedCospan) -> list[Match]:
         return []
     out: list[Match] = []
     hg = host.carrier
+    adjacency = None  # built once, for the first candidate that needs it
     for hom in monomorphisms(lhs.carrier, hg):
         image = hom.image()
         # Down-closed: every child of a matched box is matched.
@@ -169,7 +176,8 @@ def find_matches(rule: RewriteRule, host: ExtendedCospan) -> list[Match]:
                     break
         if not ok:
             continue
-        if not is_convex(hg, image):
+        adjacency = adjacency or _adjacency(hg)
+        if not _is_convex(hg, image, *adjacency):
             continue
         gi, go = _glue_vertices(Match(rule, hom, host))
         if not _interface_images_admissible(hg, gi + go):
@@ -223,15 +231,6 @@ class Complement:
         return (place(self.kept_int_in, h.int_in, h.ext_in),
                 place(self.kept_int_out, h.int_out, h.ext_out))
 
-    def as_cospan(self) -> ExtendedCospan:
-        """The hole as a cospan; its glue slots are external at the top level."""
-        int_in, int_out = self.kept_int_in + self.in_glue, self.kept_int_out + self.out_glue
-        ext_in, ext_out = self.host_ext()
-        if self.top_level:
-            ext_in += tuple(range(len(self.kept_int_in), len(int_in)))
-            ext_out += tuple(range(len(self.kept_int_out), len(int_out)))
-        return ExtendedCospan(self.graph, int_in, int_out, ext_in, ext_out)
-
 
 def _hole(
     host: ExtendedCospan, rm_v: set[int], rm_e: set[int],
@@ -252,6 +251,18 @@ def _hole(
 def boundary_complement(m: Match) -> Complement:
     """The host minus the match, to be refilled along the glue vertices;
     ``NoComplement`` names the first violated condition.
+
+    On a valid host and a down-closed match, only what the cut changes is
+    checked.  Down-closure and condition (1) leave no kept element in a
+    removed box and no kept edge on a removed vertex, so kept elements keep
+    their placement and nesting and only glue vertices lose edges; a
+    subgraph of an acyclic, monogamous carrier is acyclic and monogamous;
+    and each kept slot keeps its vertex and its level.  What the cut can
+    break are the degree and slot conditions at the glue vertices
+    (condition (6) at the top level, (7) in a box) and, for a hole in a
+    box, that box's typing and component count, which the hole's extra
+    slots break by design: condition (7) waives them, and ``_glue`` checks
+    the box once it is refilled.
 
     The complement needs no own placement check of the glue vertices:
     condition (1) rejects every glue vertex whose box is removed, and
@@ -285,30 +296,44 @@ def boundary_complement(m: Match) -> Complement:
     for v in m.host.ext_in_vertices() + m.host.ext_out_vertices():
         if v not in vset:
             raise NoComplement(5, "host external interface was removed")
-    cospan = comp.as_cospan()
-    report = validate_cospan(cospan) + is_mda_well_typed(cospan)
-    if comp.top_level:
-        if report:
-            raise NoComplement(6, report[0])
-    else:
-        # Condition (7): box typing of the complement is waived.
-        report = [r for r in report if not r.startswith("box ")]
-        # A box that lost the matched component may be left single-component;
-        # it will be refilled by the right-hand side.
-        report = [r for r in report if "single-component box" not in r]
-        if report:
-            raise NoComplement(7, report[0])
+    # Conditions (6) and (7): the glue vertices are well-formed slots.
+    report = _slot_report(comp.kept_int_in + comp.in_glue, comp.kept_int_out + comp.out_glue,
+                          _degrees(comp.graph, points))
+    if report:
+        raise NoComplement(6 if comp.top_level else 7, report[0])
     return comp
 
 
 def apply(m: Match) -> ExtendedCospan:
-    """One double-pushout step: carve out the match, glue in the replacement."""
+    """One double-pushout step: carve out the match, glue in the replacement.
+
+    The host must be valid (``validate_cospan`` and ``is_mda_well_typed``
+    report nothing), as every loader, ``RewriteRule`` and every earlier
+    step ensure: the step checks only what it changes (see
+    ``boundary_complement`` and ``_glue``)."""
     return _glue(boundary_complement(m), m.rule.rhs)
 
 
 def _glue(comp: Complement, rhs: ExtendedCospan) -> ExtendedCospan:
     """Glue ``rhs`` into the hole of ``comp`` along its glue vertices, keeping
-    the host's interface; the result is validated."""
+    the host's interface; the result is checked where the gluing changed it.
+
+    ``comp`` is a valid host minus a down-closed region, and ``rhs`` is
+    valid.  The pushout identifies only glue vertices with the right-hand
+    side's external vertices and places the inserted material at the
+    hole's level, so every other element keeps its edges, slots and level,
+    and the right-hand side's own boxes keep their typing.  What the gluing
+    can break is:
+
+    - the degree and slot conditions at the glue vertices;
+    - the typing of the box around the hole, whose component gets its
+      slots back (its component count cannot change, as the glue vertices
+      stay in the hole's component);
+    - acyclicity.  Both sides are acyclic, so a cycle has to leave the
+      inserted region at a vertex the hole outputs to and come back at one
+      it takes input from, along a path of the complement.  When no such
+      path exists the result is acyclic; otherwise (the match was not
+      convex) the whole result is checked."""
     try:
         po = glue(comp.graph, comp.out_glue + comp.in_glue,
                   rhs.carrier, rhs.ext_in_vertices() + rhs.ext_out_vertices())
@@ -322,10 +347,36 @@ def _glue(comp: Complement, rhs: ExtendedCospan) -> ExtendedCospan:
         inj_r[rhs.int_out[p]] for p in rhs.strict_out_positions()
     )
     result = ExtendedCospan(po.obj, int_in, int_out, *comp.host_ext())
-    report = validate_cospan(result) + is_mda_well_typed(result)
+    points = [inj_c[v] for v in comp.out_glue + comp.in_glue]
+    report = _slot_report(int_in, int_out, _degrees(po.obj, points))
+    box = po.obj.vparent.get(points[0]) if points else None
+    if box is not None:
+        report += [r for r in _box_typing(result) if r.startswith(f"box {box} ")]
+    if not report and _reaches_back(comp) and not is_acyclic(po.obj):
+        report.append("carrier has a directed cycle")
     if report:
         raise RewriteInternalError(f"rewrite produced ill-formed cospan: {report[0]}")
     return result
+
+
+def _reaches_back(comp: Complement) -> bool:
+    """Whether a directed path of the complement leads from a vertex the
+    hole outputs to (``in_glue``) back to one it takes input from
+    (``out_glue``)."""
+    g = comp.graph
+    consumers: dict[int, list[int]] = {}
+    for e in g.edges:
+        for v in g.source[e]:
+            consumers.setdefault(v, []).append(e)
+    seen = set(comp.in_glue)
+    todo = list(seen)
+    while todo:
+        for e in consumers.get(todo.pop(), ()):
+            for w in g.target[e]:
+                if w not in seen:
+                    seen.add(w)
+                    todo.append(w)
+    return not seen.isdisjoint(comp.out_glue)
 
 
 # ---------------------------------------------------------------------------

@@ -8,8 +8,11 @@ equational oracle works on term syntax only, and the saturation oracle is
 the restart-after-every-addition loop that the worklist replaced.  The
 alternative builders glue each alternative into its box's place, as
 ``components`` and flattening did before they copied it out.  The checkers
-and writers at the end are the straightforward versions that the one-pass
-checks and the direct JSON emitters replaced.
+and writers after them are the straightforward versions that the one-pass
+checks and the direct JSON emitters replaced.  Last come the DPO steps that
+check every complement and result whole-graph, as ``apply`` and ``choose``
+did before they checked only where a step changes the graph, and the
+element-by-element homomorphism and pushout-precondition checks.
 """
 
 from __future__ import annotations
@@ -32,11 +35,18 @@ from megraph import cospan as cs
 from megraph.egraph import EGraph, ENode
 from megraph.engine import SaturationResult, Strategy, components
 from megraph.rewrite import (
+    Complement,
     Match,
+    NoComplement,
+    RewriteInternalError,
+    _glue_vertices,
+    _hole,
+    _interface_images_admissible,
     _top_box,
     apply,
     boundary_complement,
     choose,
+    component_cospan,
     extract_subdiagram,
     find_matches,
 )
@@ -633,3 +643,164 @@ def egraph_invariants_oracle(doc: dict[str, Any]) -> list[str]:
             eg.classes[cid].add(n)
             eg.hashcons[n] = cid
     return eg.check_invariants()
+
+
+# ---------------------------------------------------------------------------
+# DPO steps, homomorphisms and pushout preconditions, checked whole-graph
+# ---------------------------------------------------------------------------
+
+
+def _complement_cospan(comp: Complement) -> ExtendedCospan:
+    """The hole as a cospan; its glue slots are external at the top level."""
+    int_in, int_out = comp.kept_int_in + comp.in_glue, comp.kept_int_out + comp.out_glue
+    ext_in, ext_out = comp.host_ext()
+    if comp.top_level:
+        ext_in += tuple(range(len(comp.kept_int_in), len(int_in)))
+        ext_out += tuple(range(len(comp.kept_int_out), len(int_out)))
+    return ExtendedCospan(comp.graph, int_in, int_out, ext_in, ext_out)
+
+
+def boundary_complement_oracle(m: Match) -> Complement:
+    """``boundary_complement`` with the complement checked by the full
+    ``validate_cospan`` and ``is_mda_well_typed`` (conditions 6 and 7)."""
+    hg = m.host.carrier
+    gi, go = _glue_vertices(m)
+    points = gi + go
+    if len(set(points)) != len(points):
+        raise NoComplement(2, "external input and output images overlap")
+    if not _interface_images_admissible(hg, points):
+        raise NoComplement(3, "interface images not uniformly placed")
+    removed_v = set(m.hom.vmap.values()) - set(points)
+    removed_e = set(m.hom.emap.values())
+    for e in hg.edges:
+        if e in removed_e:
+            continue
+        if any(v in removed_v for v in hg.endpoints(e)):
+            raise NoComplement(1, f"edge {e} would dangle")
+    for v in points:
+        if hg.vparent.get(v) in removed_e:
+            raise NoComplement(1, f"glue vertex {v} would lose its box")
+    comp = _hole(m.host, removed_v, removed_e, go, gi)
+    vset = set(comp.graph.vertices)
+    for v in m.host.ext_in_vertices() + m.host.ext_out_vertices():
+        if v not in vset:
+            raise NoComplement(5, "host external interface was removed")
+    cospan = _complement_cospan(comp)
+    report = cs.validate_cospan(cospan) + cs.is_mda_well_typed(cospan)
+    if comp.top_level:
+        if report:
+            raise NoComplement(6, report[0])
+    else:
+        report = [r for r in report if not r.startswith("box ")]
+        report = [r for r in report if "single-component box" not in r]
+        if report:
+            raise NoComplement(7, report[0])
+    return comp
+
+
+def glue_oracle(comp: Complement, rhs: ExtendedCospan) -> ExtendedCospan:
+    """``rewrite._glue`` with the result checked by the full
+    ``validate_cospan`` and ``is_mda_well_typed``."""
+    try:
+        po = cs.glue(comp.graph, comp.out_glue + comp.in_glue,
+                     rhs.carrier, rhs.ext_in_vertices() + rhs.ext_out_vertices())
+    except PushoutPreconditionError as exc:
+        raise RewriteInternalError(f"insertion pushout failed: {exc}") from exc
+    inj_c, inj_r = po.inj_left.vmap, po.inj_right.vmap
+    int_in = tuple(inj_c[v] for v in comp.kept_int_in) + tuple(
+        inj_r[rhs.int_in[p]] for p in rhs.strict_in_positions()
+    )
+    int_out = tuple(inj_c[v] for v in comp.kept_int_out) + tuple(
+        inj_r[rhs.int_out[p]] for p in rhs.strict_out_positions()
+    )
+    result = ExtendedCospan(po.obj, int_in, int_out, *comp.host_ext())
+    report = cs.validate_cospan(result) + cs.is_mda_well_typed(result)
+    if report:
+        raise RewriteInternalError(f"rewrite produced ill-formed cospan: {report[0]}")
+    return result
+
+
+def apply_oracle(m: Match) -> ExtendedCospan:
+    """``apply`` with both full checks."""
+    return glue_oracle(boundary_complement_oracle(m), m.rule.rhs)
+
+
+def choose_oracle(c: ExtendedCospan, box: int, k: int) -> ExtendedCospan:
+    """``choose`` with the result checked whole-graph."""
+    g = c.carrier
+    removed = down_closure(g, [box]) - {("v", v) for v in g.endpoints(box)}
+    hole = _hole(c, {i for kind, i in removed if kind == "v"},
+                 {i for kind, i in removed if kind == "e"}, g.target[box], g.source[box])
+    return glue_oracle(hole, component_cospan(c, box, k))
+
+
+def violations_oracle(h: EHomomorphism) -> list[str]:
+    """``EHomomorphism.violations`` through the element accessors."""
+    report: list[str] = []
+    cod_vs = set(h.cod.vertices)
+    cod_es = set(h.cod.edges)
+    for v in h.dom.vertices:
+        if v not in h.vmap:
+            report.append(f"vertex {v} unmapped")
+        elif h.vmap[v] not in cod_vs:
+            report.append(f"vertex {v} maps outside codomain")
+    for e in h.dom.edges:
+        if e not in h.emap:
+            report.append(f"edge {e} unmapped")
+            continue
+        img = h.emap[e]
+        if img not in cod_es:
+            report.append(f"edge {e} maps outside codomain")
+            continue
+        if h.dom.label[e] != h.cod.label[img]:
+            report.append(f"edge {e}: label not preserved")
+        try:
+            src = tuple(h.vmap[v] for v in h.dom.source[e])
+            tgt = tuple(h.vmap[v] for v in h.dom.target[e])
+        except KeyError:
+            continue
+        if src != h.cod.source[img] or tgt != h.cod.target[img]:
+            report.append(f"edge {e}: sources/targets not preserved")
+    if report:
+        return report
+    for elem in h.dom.elements():
+        p = h.dom.parent_of(elem)
+        if p is None:
+            continue
+        img_parent = h.cod.parent_of(h.apply(elem))
+        if img_parent != h.emap.get(p):
+            report.append(f"{elem}: immediate parent not preserved")
+    groups: dict[tuple[int, int], list[Element]] = {}
+    for elem in h.dom.elements():
+        p, c = h.dom.placement(elem)
+        if p is not None and c is not None:
+            groups.setdefault((p, c), []).append(elem)
+    for key, members in groups.items():
+        placements = {h.cod.placement(h.apply(x)) for x in members}
+        if len(placements) > 1 or (None, None) in placements:
+            report.append(f"consistency group {key}: not preserved")
+    return report
+
+
+def pushout_preconditions_oracle(left: EHomomorphism, right: EHomomorphism) -> list[int]:
+    """``check_pushout_preconditions`` from ancestor chains and placement sets."""
+    violated: list[int] = []
+    z = left.dom
+    if z.edges:
+        violated.append(1)
+    x, y = left.cod, right.cod
+    anc_f = {frozenset(x.ancestors(("v", left.vmap[v]))) for v in z.vertices}
+    anc_g = {frozenset(y.ancestors(("v", right.vmap[v]))) for v in z.vertices}
+    if len(anc_f) > 1 or len(anc_g) > 1:
+        violated.append(2)
+    for v in z.vertices:
+        if x.vparent.get(left.vmap[v]) is not None and y.vparent.get(
+            right.vmap[v]
+        ) is not None:
+            violated.append(3)
+            break
+    place_f = {x.placement(("v", left.vmap[v])) for v in z.vertices}
+    place_g = {y.placement(("v", right.vmap[v])) for v in z.vertices}
+    if len(place_f) > 1 or len(place_g) > 1:
+        violated.append(4)
+    return violated

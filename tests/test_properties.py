@@ -18,6 +18,7 @@ from megraph.cospan import (
     ExtendedCospan,
     canonical,
     certificate,
+    check_pushout_preconditions,
     compose,
     identity_cospan,
     is_mda_well_typed,
@@ -31,13 +32,19 @@ from megraph.cospan import (
 from megraph.egraph import EGraph, ENode
 from megraph.engine import Strategy, _top_box, components, normalize, saturate
 from megraph.rewrite import (
+    Match,
     NoComplement,
+    RewriteInternalError,
     RewriteRule,
+    RuleError,
     _flatten_instance,
     _glue_vertices,
+    _host_ordered,
     _interface_images_admissible,
     apply,
     boundary_complement,
+    choose,
+    extract_subdiagram,
     find_matches,
     monomorphisms,
     structural_matches,
@@ -54,6 +61,8 @@ from megraph.term import Comp, Gen, Id, Join, Sym, Tensor, interpret, print_term
 from .helpers import BASIC, expand, interp, random_term, same_alternatives
 from .oracles import (
     all_homs,
+    apply_oracle,
+    choose_oracle,
     components_oracle,
     degrees_oracle,
     dumps_cospan_oracle,
@@ -63,8 +72,10 @@ from .oracles import (
     induced,
     is_mda_well_typed_oracle,
     iso_oracle,
+    pushout_preconditions_oracle,
     saturate_oracle,
     validate_cospan_oracle,
+    violations_oracle,
 )
 from .test_cli import fuzz_documents
 
@@ -793,3 +804,214 @@ class TestOnePassChecksAgainstOracles:
             assert message in bad
         else:
             assert bad == []
+
+
+# ---------------------------------------------------------------------------
+# Local checks of a DPO step against the whole-graph checks
+# ---------------------------------------------------------------------------
+
+
+def local_check_host(rng):
+    """A random valid host: a random diagram, a split box in context, joined
+    alternatives after a random prefix, or a crossing in front of a box."""
+    n = rng.choice([1, 2])
+    shape = rng.randrange(4)
+    if shape == 0:
+        return random_diagram(rng)
+    if shape == 1:
+        return split_box(rng, n, context=True)
+    if shape == 2:
+        return compose(interpret(random_term(rng, n, n, size=rng.randint(2, 5)), BASIC),
+                       random_host(rng, n))
+    return compose(symmetry_cospan(1, 1), random_host(rng, 2))
+
+
+def hand_rhs(rng, n, m):
+    """A right-hand side ``n -> m``: a random term, a bare wire, a crossing,
+    a box, a crossing in front of a box, or a box with a bare-wire
+    alternative."""
+    def term():
+        return interpret(random_term(rng, n, m, size=rng.randint(1, 3)), BASIC)
+
+    shape = rng.randrange(6)
+    if shape == 0 and n == m:
+        return identity_cospan(n)
+    if shape == 1 and n == m == 2:
+        return symmetry_cospan(1, 1)
+    if shape == 2:
+        return join_raw([term(), term()])
+    if shape == 3 and n == 2:
+        return compose(symmetry_cospan(1, 1), join_raw([term(), term()]))
+    if shape == 4 and n == m:
+        return join_raw([identity_cospan(n), term()])
+    return term()
+
+
+def hand_matches(rng, host, tries=6):
+    """Matches of one to three edges of one level of the host (sometimes of
+    any levels) with everything nested in them, so they may be non-convex
+    or lie inside a box, against a random right-hand side."""
+    g = host.carrier
+    levels = {}
+    for e in g.edges:
+        levels.setdefault(g.placement(("e", e)), []).append(e)
+    out = []
+    for _ in range(tries if g.edges else 0):
+        pool = g.edges if rng.random() < 0.15 else levels[rng.choice(sorted(levels, key=str))]
+        pick = rng.sample(pool, min(len(pool), rng.randint(1, 3)))
+        produced = {v for e in pick for v in g.target[e]}
+        consumed = {v for e in pick for v in g.source[e]}
+        ins = _host_ordered(host, list(consumed - produced), "in")
+        outs = _host_ordered(host, list(produced - consumed), "out")
+        if rng.random() < 0.2:
+            rng.shuffle(ins)
+        lhs, hom = extract_subdiagram(host, down_closure(g, pick), ins, outs)
+        rhs = hand_rhs(rng, len(ins), len(outs))
+        try:
+            out.append(Match(RewriteRule("hand", lhs, rhs), hom, host))
+        except RuleError:  # the picked edges span levels
+            continue
+    return out
+
+
+def reversed_rhs(m, rng):
+    """``m`` with a box-free right-hand side whose inputs and outputs swap
+    places, as a rule that skipped its check would carry: ill-formed at its
+    interface, so at the glue vertices of the result."""
+    lhs = m.rule.lhs
+    t = interpret(random_term(rng, lhs.coarity, lhs.arity, size=rng.randint(1, 2)), BASIC)
+    rule = RewriteRule("reversed", lhs, lhs)
+    rule.rhs = ExtendedCospan(t.carrier, t.int_out, t.int_in, t.ext_out, t.ext_in)
+    return Match(rule, m.hom, m.host)
+
+
+def step_outcome(f, *args):
+    """The bytes of a step's result, or how it was refused."""
+    try:
+        return dumps_cospan(f(*args))
+    except NoComplement as exc:
+        return ("NoComplement", exc.condition)
+    except RewriteInternalError:
+        return "RewriteInternalError"
+
+
+class TestLocalStepChecksAgainstFullChecks:
+    @given(seeds)
+    @MATCHING
+    def test_apply_and_choose_agree_with_the_full_checks(self, seed):
+        rng = random.Random(seed)
+        host = local_check_host(rng)
+        n = rng.choice([1, 2])
+        rule = RewriteRule("r", interpret(random_term(rng, n, n, size=rng.randint(1, 2)), BASIC),
+                           interpret(random_term(rng, n, n, size=rng.randint(1, 2)), BASIC))
+        matches = find_matches(rule, host) + [m for _, m in structural_matches(host)]
+        matches += hand_matches(rng, host)
+        if matches and matches[-1].rule.lhs.arity and matches[-1].rule.lhs.coarity:
+            matches.append(reversed_rhs(matches[-1], rng))
+        for m in matches:
+            assert step_outcome(apply, m) == step_outcome(apply_oracle, m)
+        g = host.carrier
+        for box in (e for e in g.edges if g.is_box(e)):
+            for k in g.alternatives(box):
+                assert step_outcome(choose, host, box, k) == \
+                    step_outcome(choose_oracle, host, box, k)
+
+
+# ---------------------------------------------------------------------------
+# One-pass homomorphism and pushout checks against the element-wise ones
+# ---------------------------------------------------------------------------
+
+
+def broken_hom(rng):
+    """A homomorphism between random diagrams (an isomorphism onto a
+    shuffled copy, or a match), then perhaps broken: an element unmapped or
+    sent outside the codomain, an edge sent to another edge, two vertex
+    images swapped, an image moved to another box or component, or the
+    images of a whole component moved to the top level."""
+    c = random_diagram(rng)
+    if rng.random() < 0.5:
+        cod, vmap = shuffled_copy(c.carrier, rng)
+        h = iso(c, ExtendedCospan(cod, tuple(vmap[v] for v in c.int_in),
+                                  tuple(vmap[v] for v in c.int_out), c.ext_in, c.ext_out))
+        h = h.alpha if h is not None else identity_hom(c.carrier)
+    else:
+        pat = random_diagram(rng, max_elements=7).carrier
+        h = next(monomorphisms(pat, c.carrier), None) or identity_hom(c.carrier)
+    cod = h.cod.copy()
+    h = EHomomorphism(h.dom, cod, dict(h.vmap), dict(h.emap))
+    boxes = [e for e in cod.edges if cod.is_box(e)]
+    for _ in range(rng.choice([0, 1, 1, 2])):
+        kind = rng.randrange(8)
+        imap = h.vmap if kind % 2 == 0 else h.emap
+        if not imap:
+            continue
+        x = rng.choice(sorted(imap))
+        if kind < 2:
+            del imap[x]
+        elif kind < 4:
+            imap[x] = 10**6
+        elif kind == 4 and len(h.vmap) > 1:
+            a, b = rng.sample(sorted(h.vmap), 2)
+            h.vmap[a], h.vmap[b] = h.vmap[b], h.vmap[a]
+        elif kind == 5:
+            h.emap[x] = rng.choice(cod.edges)
+        elif kind >= 6:
+            parent, comp = (cod.vparent, cod.vcomp) if kind == 6 else (cod.eparent, cod.ecomp)
+            y = imap[x]
+            if y in parent and rng.random() < 0.5:
+                comp[y] = rng.randrange(3)  # another component of the same box
+            elif boxes and rng.random() < 0.6:
+                parent[y], comp[y] = rng.choice(boxes), rng.randrange(3)
+            else:
+                parent.pop(y, None)
+                comp.pop(y, None)
+    if rng.random() < 0.2 and h.dom.vparent:
+        # Every image of one component moves to the top level.
+        d = h.dom
+        box, k = rng.choice(sorted(set(zip(d.vparent.values(), d.vcomp.values()))))
+        for imap, parent, comp, cparent, ccomp in ((h.vmap, d.vparent, d.vcomp, cod.vparent, cod.vcomp),
+                                                   (h.emap, d.eparent, d.ecomp, cod.eparent, cod.ecomp)):
+            for x, y in imap.items():
+                if (parent.get(x), comp.get(x)) == (box, k):
+                    cparent.pop(y, None)
+                    ccomp.pop(y, None)
+    return h
+
+
+def random_gluing(rng):
+    """Two legs out of a small discrete graph (sometimes with an edge) into
+    random diagrams, onto glue points drawn from one level, from several
+    levels, or from different components of one box."""
+    x, y = random_diagram(rng).carrier, random_diagram(rng).carrier
+    z = EHypergraph()
+    n = rng.randint(0, 3)
+    for _ in range(n):
+        z.add_vertex()
+    if n and rng.random() < 0.1:
+        z.add_edge("f", [z.vertices[0]], [z.vertices[-1]])
+
+    def points(g):
+        nested = [v for v in g.vertices if g.vparent.get(v) is not None]
+        pool = nested if nested and rng.random() < 0.5 else g.vertices
+        if rng.random() < 0.5:
+            level = g.placement(("v", rng.choice(pool)))
+            pool = [v for v in g.vertices if g.placement(("v", v)) == level]
+        return [rng.choice(pool) for _ in range(n)]
+
+    return (EHomomorphism(z, x, dict(zip(z.vertices, points(x)))),
+            EHomomorphism(z, y, dict(zip(z.vertices, points(y)))))
+
+
+class TestOnePassMapChecksAgainstOracles:
+    @given(seeds)
+    @CHECKS
+    def test_violations_on_random_broken_homomorphisms(self, seed):
+        h = broken_hom(random.Random(seed))
+        assert h.violations() == violations_oracle(h)
+
+    @given(seeds)
+    @CHECKS
+    def test_pushout_preconditions_on_random_gluings(self, seed):
+        left, right = random_gluing(random.Random(seed))
+        assert check_pushout_preconditions(left, right) == \
+            pushout_preconditions_oracle(left, right)

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from megraph.core import down_closure, is_convex
 from megraph.cospan import (
     certificate,
     identity_cospan,
@@ -12,17 +13,20 @@ from megraph.cospan import (
     iso,
     join,
     join_raw,
+    symmetry_cospan,
 )
 from megraph.engine import Strategy, saturate
 from megraph.rewrite import (
     Match,
     NoComplement,
+    RewriteInternalError,
     RewriteRule,
     RuleError,
     _flatten_instance,
     apply,
     boundary_complement,
     components,
+    extract_subdiagram,
     find_matches,
     monomorphisms,
     rule_from_terms,
@@ -169,6 +173,25 @@ class TestApply:
         result = apply(m)
         assert is_mda_well_typed(result) == []
         assert iso(result, interp("id:1 + h")) is not None
+
+    def test_a_non_convex_match_that_closes_a_cycle_is_an_internal_error(self):
+        # f and h of ``f ; g ; h`` matched as ``f * h``; the crossing glues
+        # f's output to h's input around g, so g would feed itself.
+        host = interp("f ; g ; h")
+        g = host.carrier
+        f_edge, h_edge = (next(e for e in g.edges if g.label[e] == x) for x in "fh")
+        lhs, hom = extract_subdiagram(
+            host, down_closure(g, [f_edge, h_edge]),
+            [g.source[f_edge][0], g.source[h_edge][0]],
+            [g.target[f_edge][0], g.target[h_edge][0]],
+        )
+        rule = RewriteRule("cross", lhs, symmetry_cospan(1, 1))
+        m = Match(rule, hom, host)
+        assert not is_convex(g, hom.image())
+        # The cut is fine: only the gluing closes the cycle.
+        assert list(boundary_complement(m).graph.label.values()) == ["g"]
+        with pytest.raises(RewriteInternalError, match="directed cycle"):
+            apply(m)
 
 
 class TestStructuralMatches:
