@@ -435,17 +435,10 @@ def _close(rel: dict[int, set[int]], starts: set[int]) -> set[int]:
 
 def is_convex(g: EHypergraph, sub: set[Element]) -> bool:
     """True when every directed path between vertices of ``sub`` stays in ``sub``."""
-    return _is_convex(g, sub, *_adjacency(g))
-
-
-def _is_convex(
-    g: EHypergraph, sub: set[Element], succ: dict[int, set[int]], pred: dict[int, set[int]]
-) -> bool:
-    """``is_convex`` on the adjacency of ``g``, so that one adjacency serves
-    many candidate subgraphs."""
     sub_vs = {i for k, i in sub if k == "v"}
     if not sub_vs:
         return True
+    succ, pred = _adjacency(g)
     fwd, bwd = _close(succ, sub_vs), _close(pred, sub_vs)
     # A vertex lies on some sub-to-sub path iff it is both reachable from sub
     # and reaches sub; an edge does iff one of its sources is reachable and
@@ -458,6 +451,39 @@ def _is_convex(
         and any(w in bwd for w in g.target[e])
         for e in g.edges
     )
+
+
+def _feeds(g: EHypergraph) -> dict[int, list[int]]:
+    """The edges that each vertex is a source of; a vertex that feeds no
+    edge has no entry."""
+    feeds: dict[int, list[int]] = {}
+    for e in g.edges:
+        for v in g.source[e]:
+            feeds.setdefault(v, []).append(e)
+    return feeds
+
+
+def _is_convex(g: EHypergraph, sub: set[Element], feeds: dict[int, list[int]]) -> bool:
+    """``is_convex`` for a set that holds every endpoint of its edges, as a
+    match image and a ``down_closure`` do, by one forward reach.
+
+    A path that leaves such a set leaves it along an edge outside the set
+    that a vertex of the set feeds, and goes on through vertices outside
+    the set, each of which feeds only edges outside it.  So the reach from
+    the targets of those edges through vertices outside the set comes back
+    into the set exactly when ``sub`` is not convex.  ``feeds`` is
+    ``_feeds(g)``, so that one index serves many candidate sets."""
+    todo = [w for k, v in sub if k == "v" for e in feeds.get(v, ())
+            if ("e", e) not in sub for w in g.target[e]]
+    seen: set[int] = set()
+    while todo:
+        w = todo.pop()
+        if ("v", w) in sub:
+            return False
+        if w not in seen:
+            seen.add(w)
+            todo += [x for e in feeds.get(w, ()) for x in g.target[e]]
+    return True
 
 
 def connected_components(nodes: Iterable[T], links: Iterable[tuple[T, T]]) -> list[list[T]]:

@@ -22,6 +22,7 @@ from .rewrite import (
     Match,
     RewriteRule,
     _top_box,
+    alternative,
     apply,
     choose,
     components,
@@ -144,11 +145,31 @@ def saturate(c: ExtendedCospan, s: Strategy) -> SaturationResult:
     also matched against the joined diagram, keeping only the matches of its
     top box; anything they add resumes the worklist.  Returns ``c`` itself
     when nothing was added.
+
+    Under ``bidirectional``, one step is known in advance to add nothing: a
+    DPO step undone by the reversed rule at its comatch gives back its host
+    (the inverse direct derivation).  So the reversed rule's match whose
+    vertex and edge maps equal the comatch of the step that made an
+    alternative is not applied to it, where that step provably gives back a
+    stored alternative: the result was stored whole (not split into the
+    alternatives of a top-level box), and neither side of the rule has
+    strictly internal slots, which ``apply`` would append after the host's
+    and so could reorder a slot block that ``iso`` compares.  Such a rule
+    has no box, as the wires of a box's alternatives are strictly internal
+    slots; so the host was stored whole too, since in a host that is one
+    top-level box the match lies inside the box, which stays in the
+    result.  Maps are compared whole, since a side with automorphisms
+    can match one image in several ways, with different results.
     """
     rules = list(s.rules)
+    n = len(rules)
     if s.bidirectional:
         rules += [r.reversed() for r in s.rules]
-    boxed = [r for r in rules if any(map(r.lhs.carrier.is_box, r.lhs.carrier.edges))]
+    # Index of each rule's reverse, where the step back may be skipped.
+    undoes = [(i + n) % len(rules) if s.bidirectional and not _strict_slots(r) else None
+              for i, r in enumerate(rules)]
+    boxed = [i for i, r in enumerate(rules)
+             if any(map(r.lhs.carrier.is_box, r.lhs.carrier.edges))]
     stored: dict[Hashable, tuple[ExtendedCospan, cs.Canonical]] = {}
 
     def is_new(part: ExtendedCospan) -> bool:
@@ -161,14 +182,24 @@ def saturate(c: ExtendedCospan, s: Strategy) -> SaturationResult:
 
     comps = [part for part in components(c) if is_new(part)]
     initial = len(comps)
+    # For each stored alternative: the reversed rule and the comatch's vertex
+    # and edge maps, the one match not to apply.
+    skips: list[Optional[tuple[int, dict[int, int], dict[int, int]]]] = [None] * initial
 
-    def add(m: Match) -> bool:
-        """Store the new components of ``m``'s result; False past the budget."""
-        for new in components(apply(m)):
+    def add(m: Match, i: int) -> bool:
+        """Store the new components of ``m``'s result, where ``m`` matches
+        ``rules[i]``; False past the budget."""
+        result = apply(m)
+        parts = components(result)
+        skip = None
+        if undoes[i] is not None and parts[0] is result:
+            skip = (undoes[i], result.comatch.vmap, result.comatch.emap)
+        for new in parts:
             if is_new(new):
                 if len(comps) - initial == s.max_steps:
                     return False
                 comps.append(new)
+                skips.append(skip)
         return True
 
     def finish(saturated: bool) -> SaturationResult:
@@ -178,22 +209,28 @@ def saturate(c: ExtendedCospan, s: Strategy) -> SaturationResult:
     done = 0  # comps[done:] is the worklist
     while True:
         while done < len(comps):
-            alt = comps[done]
+            alt, skip = comps[done], skips[done]
             done += 1
-            for rule in rules:
+            for i, rule in enumerate(rules):
                 for m in find_matches(rule, alt):
-                    if not add(m):
+                    if skip != (i, m.hom.vmap, m.hom.emap) and not add(m, i):
                         return finish(False)
         if len(comps) < 2 or not boxed:
             return finish(True)
         joined = cs.join_raw(comps)
         top = _top_box(joined)
-        for rule in boxed:
-            for m in find_matches(rule, joined):
-                if top in m.hom.emap.values() and not add(m):
+        for i in boxed:
+            for m in find_matches(rules[i], joined):
+                if top in m.hom.emap.values() and not add(m, i):
                     return finish(False)
         if done == len(comps):
             return finish(True)
+
+
+def _strict_slots(r: RewriteRule) -> bool:
+    """Whether either side of ``r`` has a strictly internal slot."""
+    return any(side.strict_in_positions() or side.strict_out_positions()
+               for side in (r.lhs, r.rhs))
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +256,9 @@ def _alternative_costs(c: ExtendedCospan, box: int, m: CostModel) -> dict[int, F
 
 
 def prune(c: ExtendedCospan, m: Optional[CostModel] = None) -> ExtendedCospan:
-    """Keep the cheapest alternative of every hierarchical edge."""
+    """Keep the cheapest alternative of every hierarchical edge, outermost
+    first: a box that is the whole diagram is replaced by a copy of that
+    alternative (``alternative``), a box in context by gluing (``choose``)."""
     m = m or CostModel()
     cur = c
     for _ in range(len(c.carrier.edges) + 1):
@@ -230,7 +269,9 @@ def prune(c: ExtendedCospan, m: Optional[CostModel] = None) -> ExtendedCospan:
         if not boxes:
             return cur
         costs = _alternative_costs(cur, boxes[0], m)
-        cur = choose(cur, boxes[0], min(costs, key=costs.get))
+        best = min(costs, key=costs.get)
+        pick = alternative if boxes[0] == _top_box(cur) else choose
+        cur = pick(cur, boxes[0], best)
     raise EngineError("pruning did not terminate")  # pragma: no cover
 
 

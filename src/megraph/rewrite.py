@@ -13,11 +13,12 @@ An alternative is read out of its box by copying (``component_cospan``);
 ``components`` and the flattening and idempotence right-hand sides are built
 so.  ``choose`` replaces a box by one of its alternatives by gluing, which is
 needed only where a context surrounds the box: the right-hand sides of
-distribution and each pruning step of extraction.
+distribution and the pruning of a box that is not the whole diagram.
 """
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
@@ -26,15 +27,14 @@ from .core import (
     EHypergraph,
     Element,
     Signature,
-    _adjacency,
     _degrees,
+    _feeds,
     _is_convex,
     connected_components,
     copy_into,
     down_closure,
     embeddings,
     is_acyclic,
-    is_convex,
 )
 from .cospan import (
     ExtendedCospan,
@@ -88,7 +88,11 @@ class RewriteRule:
                 )
 
     def reversed(self) -> "RewriteRule":
-        return RewriteRule(name=f"{self.name}~rev", lhs=self.rhs, rhs=self.lhs)
+        """The rule with its sides swapped.  The checks of ``__post_init__``
+        are symmetric in the two sides, so they are not run again."""
+        rev = copy.copy(self)
+        rev.name, rev.lhs, rev.rhs = f"{self.name}~rev", self.rhs, self.lhs
+        return rev
 
 
 def _has_closed_component(c: ExtendedCospan) -> bool:
@@ -163,7 +167,7 @@ def find_matches(rule: RewriteRule, host: ExtendedCospan) -> list[Match]:
         return []
     out: list[Match] = []
     hg = host.carrier
-    adjacency = None  # built once, for the first candidate that needs it
+    feeds = None  # built once, for the first candidate that needs it
     for hom in monomorphisms(lhs.carrier, hg):
         image = hom.image()
         # Down-closed: every child of a matched box is matched.
@@ -176,8 +180,9 @@ def find_matches(rule: RewriteRule, host: ExtendedCospan) -> list[Match]:
                     break
         if not ok:
             continue
-        adjacency = adjacency or _adjacency(hg)
-        if not _is_convex(hg, image, *adjacency):
+        if feeds is None:
+            feeds = _feeds(hg)
+        if not _is_convex(hg, image, feeds):
             continue
         gi, go = _glue_vertices(Match(rule, hom, host))
         if not _interface_images_admissible(hg, gi + go):
@@ -304,17 +309,27 @@ def boundary_complement(m: Match) -> Complement:
     return comp
 
 
+@dataclass(repr=False, eq=False)
+class Glued(ExtendedCospan):
+    """The result of gluing a right-hand side into a hole, with the
+    comatch: the right-hand side's carrier embedded in the result (the
+    pushout's right injection)."""
+
+    comatch: EHomomorphism
+
+
 def apply(m: Match) -> ExtendedCospan:
     """One double-pushout step: carve out the match, glue in the replacement.
 
     The host must be valid (``validate_cospan`` and ``is_mda_well_typed``
     report nothing), as every loader, ``RewriteRule`` and every earlier
     step ensure: the step checks only what it changes (see
-    ``boundary_complement`` and ``_glue``)."""
+    ``boundary_complement`` and ``_glue``).  The result is a ``Glued``,
+    which also holds the comatch."""
     return _glue(boundary_complement(m), m.rule.rhs)
 
 
-def _glue(comp: Complement, rhs: ExtendedCospan) -> ExtendedCospan:
+def _glue(comp: Complement, rhs: ExtendedCospan) -> Glued:
     """Glue ``rhs`` into the hole of ``comp`` along its glue vertices, keeping
     the host's interface; the result is checked where the gluing changed it.
 
@@ -346,7 +361,7 @@ def _glue(comp: Complement, rhs: ExtendedCospan) -> ExtendedCospan:
     int_out = tuple(inj_c[v] for v in comp.kept_int_out) + tuple(
         inj_r[rhs.int_out[p]] for p in rhs.strict_out_positions()
     )
-    result = ExtendedCospan(po.obj, int_in, int_out, *comp.host_ext())
+    result = Glued(po.obj, int_in, int_out, *comp.host_ext(), po.inj_right)
     points = [inj_c[v] for v in comp.out_glue + comp.in_glue]
     report = _slot_report(int_in, int_out, _degrees(po.obj, points))
     box = po.obj.vparent.get(points[0]) if points else None
@@ -364,14 +379,11 @@ def _reaches_back(comp: Complement) -> bool:
     hole outputs to (``in_glue``) back to one it takes input from
     (``out_glue``)."""
     g = comp.graph
-    consumers: dict[int, list[int]] = {}
-    for e in g.edges:
-        for v in g.source[e]:
-            consumers.setdefault(v, []).append(e)
+    feeds = _feeds(g)
     seen = set(comp.in_glue)
     todo = list(seen)
     while todo:
-        for e in consumers.get(todo.pop(), ()):
+        for e in feeds.get(todo.pop(), ()):
             for w in g.target[e]:
                 if w not in seen:
                     seen.add(w)
@@ -464,8 +476,9 @@ def choose(c: ExtendedCospan, box: int, k: int) -> ExtendedCospan:
     The box and everything nested in it are removed, and the alternative is
     glued into the hole along the box's endpoints: its external inputs
     (outputs) meet the box's sources (targets) in order.  This is a gluing
-    of context around an alternative, as distribution and pruning need; an
-    alternative read out of a box on its own is a copy (``components``).
+    of context around an alternative, as distribution and the pruning of a
+    box in context need; an alternative read out of a top-level box is a
+    copy (``alternative``).
     """
     g = c.carrier
     removed = down_closure(g, [box]) - {("v", v) for v in g.endpoints(box)}
@@ -488,22 +501,26 @@ def _top_box(c: ExtendedCospan) -> Optional[int]:
 
 def components(c: ExtendedCospan) -> list[ExtendedCospan]:
     """The alternatives of a top-level alternative box, each with ``c``'s
-    interface, or ``[c]`` itself.
-
-    Each alternative is copied out with ``component_cospan``, and its
-    external positions are permuted to ``c``'s: external input ``i`` is the
-    alternative's input at the box source that ``c``'s external input ``i``
-    is, and likewise for outputs.  So a crossing in front of the box stays."""
+    interface (``alternative``), or ``[c]`` itself."""
     box = _top_box(c)
     if box is None:
         return [c]
+    return [alternative(c, box, k) for k in c.carrier.alternatives(box)]
+
+
+def alternative(c: ExtendedCospan, box: int, k: int) -> ExtendedCospan:
+    """Alternative ``k`` of ``c``'s top-level alternative box ``box``, with
+    ``c``'s interface.
+
+    It is copied out with ``component_cospan``, and its external positions
+    are permuted to ``c``'s: external input ``i`` is the alternative's input
+    at the box source that ``c``'s external input ``i`` is, and likewise for
+    outputs.  So a crossing in front of the box stays."""
     g = c.carrier
+    part = component_cospan(c, box, k)
     ext_in = tuple(g.source[box].index(v) for v in c.ext_in_vertices())
     ext_out = tuple(g.target[box].index(v) for v in c.ext_out_vertices())
-    return [
-        ExtendedCospan(part.carrier, part.int_in, part.int_out, ext_in, ext_out)
-        for part in (component_cospan(c, box, k) for k in g.alternatives(box))
-    ]
+    return ExtendedCospan(part.carrier, part.int_in, part.int_out, ext_in, ext_out)
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +562,7 @@ def _dist_instance(
     convex in an acyclic host."""
     hg = host.carrier
     elements = down_closure(hg, [e, box])
-    if not is_convex(hg, elements):
+    if not _is_convex(hg, elements, _feeds(hg)):
         return None
     if set(hg.target[e]) & set(hg.source[box]):
         schema = "SeqDistL"

@@ -4,10 +4,11 @@ These deliberately avoid the library's own search code wherever practical:
 homomorphism enumeration is a direct backtracking search over raw maps, the
 isomorphism oracle filters it for bijections that line up the slots, the
 complement oracle enumerates every candidate subgraph of the host, the
-equational oracle works on term syntax only, and the saturation oracle is
-the restart-after-every-addition loop that the worklist replaced.  The
-alternative builders glue each alternative into its box's place, as
-``components`` and flattening did before they copied it out.  The checkers
+equational oracle works on term syntax only, and the saturation oracles are
+the restart-after-every-addition loop that the worklist replaced and the
+worklist that takes every step, also the reversed rule's step back to the
+host.  The alternative builders glue each alternative into its box's place,
+as ``components`` and flattening did before they copied it out.  The checkers
 and writers after them are the straightforward versions that the one-pass
 checks and the direct JSON emitters replaced.  Last come the DPO steps that
 check every complement and result whole-graph, as ``apply`` and ``choose``
@@ -20,7 +21,7 @@ from __future__ import annotations
 import itertools
 import json
 from collections import Counter
-from typing import Any, Iterator, Optional
+from typing import Any, Hashable, Iterator, Optional
 
 from megraph.core import (
     EHypergraph,
@@ -33,7 +34,13 @@ from megraph.core import (
 from megraph.cospan import ExtendedCospan, PushoutPreconditionError, pushout
 from megraph import cospan as cs
 from megraph.egraph import EGraph, ENode
-from megraph.engine import SaturationResult, Strategy, components
+from megraph.engine import (
+    CostModel,
+    SaturationResult,
+    Strategy,
+    _alternative_costs,
+    components,
+)
 from megraph.rewrite import (
     Complement,
     Match,
@@ -420,6 +427,57 @@ def saturate_oracle(c: ExtendedCospan, s: Strategy) -> SaturationResult:
     return SaturationResult(result, steps, False)
 
 
+def saturate_worklist_oracle(c: ExtendedCospan, s: Strategy) -> SaturationResult:
+    """``saturate``'s worklist taking every step: each reversed rule's match
+    is applied too, also the one at the comatch of the step that made the
+    alternative, which gives that step's host back."""
+    rules = list(s.rules)
+    if s.bidirectional:
+        rules += [r.reversed() for r in s.rules]
+    boxed = [r for r in rules if any(map(r.lhs.carrier.is_box, r.lhs.carrier.edges))]
+    stored: dict[Hashable, tuple[ExtendedCospan, cs.Canonical]] = {}
+
+    def is_new(part: ExtendedCospan) -> bool:
+        form = cs.canonical(part)
+        old, old_form = stored.setdefault(form.cert, (part, form))
+        return old is part or cs.iso(part, old, form, old_form) is None
+
+    comps = [part for part in components(c) if is_new(part)]
+    initial = len(comps)
+
+    def add(m: Match) -> bool:
+        for new in components(apply(m)):
+            if is_new(new):
+                if len(comps) - initial == s.max_steps:
+                    return False
+                comps.append(new)
+        return True
+
+    def finish(saturated: bool) -> SaturationResult:
+        steps = len(comps) - initial
+        return SaturationResult(c if steps == 0 else cs.join_raw(comps), steps, saturated)
+
+    done = 0
+    while True:
+        while done < len(comps):
+            alt = comps[done]
+            done += 1
+            for rule in rules:
+                for m in find_matches(rule, alt):
+                    if not add(m):
+                        return finish(False)
+        if len(comps) < 2 or not boxed:
+            return finish(True)
+        joined = cs.join_raw(comps)
+        top = _top_box(joined)
+        for rule in boxed:
+            for m in find_matches(rule, joined):
+                if top in m.hom.emap.values() and not add(m):
+                    return finish(False)
+        if done == len(comps):
+            return finish(True)
+
+
 # ---------------------------------------------------------------------------
 # Alternatives built by gluing
 # ---------------------------------------------------------------------------
@@ -432,6 +490,20 @@ def components_oracle(c: ExtendedCospan) -> list[ExtendedCospan]:
     if box is None:
         return [c]
     return [choose(c, box, k) for k in c.carrier.alternatives(box)]
+
+
+def prune_oracle(c: ExtendedCospan, m: Optional[CostModel] = None) -> ExtendedCospan:
+    """``prune`` choosing every box's cheapest alternative by gluing, the
+    top-level box too."""
+    m = m or CostModel()
+    cur = c
+    while True:
+        g = cur.carrier
+        boxes = sorted((e for e in g.edges if g.is_box(e)), key=lambda e: g.depth(("e", e)))
+        if not boxes:
+            return cur
+        costs = _alternative_costs(cur, boxes[0], m)
+        cur = choose(cur, boxes[0], min(costs, key=costs.get))
 
 
 def flatten_rhs_oracle(host: ExtendedCospan, outer: int, inner: int) -> ExtendedCospan:

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from megraph import cospan as cs, engine
+from megraph import cospan as cs, engine, rewrite
 from megraph.cospan import identity_cospan, is_mda_well_typed, iso, join_raw
 from megraph.engine import (
     CostModel,
@@ -164,14 +164,25 @@ class TestSaturateWorklist:
         assert res.saturated and res.steps == 1
         assert same_alternatives(res.result, ["f", "g"])
 
-    @pytest.mark.parametrize("copies, steps", [(3, 19), (4, 69), (5, 251)])
-    def test_swap_chain_counts(self, copies, steps):
+    @pytest.mark.parametrize("copies, steps, dpo_steps", [
+        pytest.param(3, 19, 41, id="3-19"),
+        pytest.param(4, 69, 211, id="4-69"),
+        pytest.param(5, 251, 1009, id="5-251"),
+    ])
+    def test_swap_chain_counts(self, monkeypatch, copies, steps, dpo_steps):
+        # Every DPO step cuts one boundary complement.  Each added
+        # alternative is spared the step back to its host, so the worklist
+        # that takes every step (60, 280 and 1260) makes ``steps`` more.
+        cuts = []
+        real = rewrite.boundary_complement
+        monkeypatch.setattr(rewrite, "boundary_complement", lambda m: cuts.append(m) or real(m))
         t0 = time.perf_counter()
         res = saturate_terms("f0 ; f1", "f1 ; f0", " ; ".join(["f0 ; f1"] * copies),
                              sig=SWAP, bidirectional=True, max_steps=1000)
         assert time.perf_counter() - t0 < 20
         assert res.saturated and res.steps == steps
         assert len(components(res.result)) == steps + 1
+        assert len(cuts) == dpo_steps
 
     def test_one_canonical_form_per_candidate_component(self, monkeypatch):
         # Every component that saturate considers is canonicalised once:

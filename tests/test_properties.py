@@ -3,16 +3,20 @@
 import copy
 import json
 import random
+from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
 from megraph.core import (
     EHomomorphism,
     EHypergraph,
+    _feeds,
+    _is_convex,
     copy_into,
     degrees,
     down_closure,
     identity_hom,
+    is_convex,
 )
 from megraph.cospan import (
     ExtendedCospan,
@@ -30,7 +34,17 @@ from megraph.cospan import (
     validate_cospan,
 )
 from megraph.egraph import EGraph, ENode
-from megraph.engine import Strategy, _top_box, components, normalize, saturate
+from megraph.engine import (
+    CostModel,
+    Strategy,
+    _strict_slots,
+    _top_box,
+    components,
+    normalize,
+    prune,
+    saturate,
+    term_of,
+)
 from megraph.rewrite import (
     Match,
     NoComplement,
@@ -44,6 +58,7 @@ from megraph.rewrite import (
     apply,
     boundary_complement,
     choose,
+    edge_cospan,
     extract_subdiagram,
     find_matches,
     monomorphisms,
@@ -72,8 +87,10 @@ from .oracles import (
     induced,
     is_mda_well_typed_oracle,
     iso_oracle,
+    prune_oracle,
     pushout_preconditions_oracle,
     saturate_oracle,
+    saturate_worklist_oracle,
     validate_cospan_oracle,
     violations_oracle,
 )
@@ -493,6 +510,24 @@ class TestGraphViews:
                 assert all(g.placement(el) == (box, comp) for el in members)
 
 
+class TestConvexityByOneForwardReach:
+    @given(seeds)
+    @MATCHING
+    def test_agrees_with_the_two_sided_closure(self, seed):
+        rng = random.Random(seed)
+        g = random_diagram(rng).carrier
+        feeds = _feeds(g)
+        subs = []
+        for _ in range(4):
+            sub = down_closure(g, [e for e in g.edges if rng.random() < 0.4])
+            subs.append(sub | {("v", v) for v in g.vertices if rng.random() < 0.1})
+        n = rng.choice([1, 2])
+        pat = interpret(random_term(rng, n, n, size=rng.randint(1, 2)), BASIC).carrier
+        subs += [h.image() for h in monomorphisms(pat, g)]
+        for sub in subs:
+            assert _is_convex(g, sub, feeds) == is_convex(g, sub)
+
+
 def random_matches(seed):
     """The matches of a random rule and of the structural rules in a random
     diagram."""
@@ -609,6 +644,71 @@ class TestSaturateAgainstOracle:
                 assert all(stored(m) for m in find_matches(rule, joined)
                            if top in m.hom.emap.values())
 
+    @given(seeds)
+    @SATURATION
+    def test_skipping_the_step_back_to_the_host_changes_nothing(self, seed):
+        rng = random.Random(seed)
+        if rng.random() < 0.5:
+            host = random_diagram(rng)
+        else:
+            host = random_host(rng, rng.choice([1, 1, 2]))
+        s = Strategy(rules=random_rules(rng, host.arity, boxed=rng.random() < 0.5),
+                     max_steps=rng.randint(0, 8), bidirectional=rng.random() < 0.75)
+        assert saturation_outcome(saturate, host, s) == \
+            saturation_outcome(saturate_worklist_oracle, host, s)
+
+
+class TestReversedRule:
+    @given(seeds)
+    @FAST
+    def test_reversed_is_the_checked_rule_with_its_sides_swapped(self, seed):
+        rng = random.Random(seed)
+        for rule in random_rules(rng, rng.choice([1, 2]), boxed=rng.random() < 0.5):
+            rev = rule.reversed()
+            checked = RewriteRule(rev.name, rule.rhs, rule.lhs)
+            assert type(rev) is RewriteRule and vars(rev).keys() == vars(checked).keys()
+            assert all(getattr(rev, f) is getattr(checked, f) for f in ("lhs", "rhs"))
+            assert rev.name == checked.name == f"{rule.name}~rev"
+            twice = rev.reversed()
+            assert twice.lhs is rule.lhs and twice.rhs is rule.rhs
+
+
+def saturation_outcome(f, host, s):
+    """The bytes, steps and fixpoint flag of a saturation, or the type of
+    what it raises."""
+    res = outcome(f, host, s)
+    if isinstance(res, type):
+        return res
+    return dumps_cospan(res.result), res.steps, res.saturated
+
+
+class TestInverseStep:
+    @given(seeds)
+    @MATCHING
+    def test_the_reversed_rule_at_the_comatch_gives_back_the_host(self, seed):
+        rng = random.Random(seed)
+        host = random_diagram(rng)
+        g = host.carrier
+        rules = random_rules(rng, host.arity, boxed=False)
+        for e in rng.sample(g.edges, min(2, len(g.edges))):
+            if not g.is_box(e):  # a rule that matches this edge at least
+                lhs = edge_cospan(host, e)[0]
+                t = random_term(rng, lhs.arity, lhs.coarity, size=rng.randint(1, 2))
+                rules.append(RewriteRule("e", lhs, interpret(t, BASIC)))
+        for rule in rules:
+            rhs = rule.rhs
+            # A left-hand side with a bare wire has no match at all.
+            if _strict_slots(rule) or set(rhs.ext_in_vertices()) & set(rhs.ext_out_vertices()):
+                continue
+            rev = rule.reversed()
+            for m in find_matches(rule, host):
+                result = apply(m)
+                comatch = (result.comatch.vmap, result.comatch.emap)
+                back = [k for k in find_matches(rev, result)
+                        if (k.hom.vmap, k.hom.emap) == comatch]
+                assert len(back) == 1
+                assert iso(apply(back[0]), host) is not None
+
 
 # ---------------------------------------------------------------------------
 # Normalization against syntactic expansion
@@ -692,6 +792,19 @@ class TestAlternativesAgainstGluing:
         if rng.random() < 0.5:
             c = loads_cospan(dumps_cospan(shuffled_cospan(c, rng, renumber=False)))
         assert_alternatives_match_the_oracles(c)
+
+    @given(seeds)
+    @settings(max_examples=200, deadline=None)
+    def test_pruning_copies_what_gluing_chooses(self, seed):
+        rng = random.Random(seed)
+        c = interpret(random_branching_term(rng, rng.choice([1, 2, 2]), rng.choice([1, 2])),
+                      BASIC)
+        costs = CostModel({x: Fraction(rng.randint(0, 3)) for x in "fghksabc"})
+        got, want = prune(c, costs), prune_oracle(c, costs)
+        # A copied alternative lists its slots in box-port order, so the two
+        # differ in bytes when a crossing is in front of the box.
+        assert certificate(got) == certificate(want)
+        assert print_term(term_of(got)) == print_term(term_of(want))
 
 
 # ---------------------------------------------------------------------------
