@@ -183,9 +183,6 @@ class EHypergraph:
         """(parent box id, component index) of an element; (None, None) at top level."""
         return self.parent_of(elem), self.component_of(elem)
 
-    def is_top_level(self, elem: Element) -> bool:
-        return self.parent_of(elem) is None
-
     def is_box(self, e: int) -> bool:
         return self.label[e] is None
 
@@ -694,9 +691,6 @@ class EHomomorphism:
             if len(placements) > 1 or (None, None) in placements
         ]
 
-    def is_valid(self) -> bool:
-        return not self.violations()
-
     def is_mono(self) -> bool:
         return len(set(self.vmap.values())) == len(self.vmap) and len(
             set(self.emap.values())
@@ -706,19 +700,3 @@ class EHomomorphism:
         out: set[Element] = {("v", w) for w in self.vmap.values()}
         out.update(("e", d) for d in self.emap.values())
         return out
-
-    def then(self, other: "EHomomorphism") -> "EHomomorphism":
-        if other.dom is not self.cod:
-            raise ValueError("composition mismatch")
-        return EHomomorphism(
-            dom=self.dom,
-            cod=other.cod,
-            vmap={v: other.vmap[w] for v, w in self.vmap.items()},
-            emap={e: other.emap[d] for e, d in self.emap.items()},
-        )
-
-
-def identity_hom(g: EHypergraph) -> EHomomorphism:
-    return EHomomorphism(
-        dom=g, cod=g, vmap={v: v for v in g.vertices}, emap={e: e for e in g.edges}
-    )

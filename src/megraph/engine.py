@@ -296,10 +296,15 @@ def _perm_term(cur: list[int], want: list[int]) -> Optional[tm.Term]:
 
 
 def term_of(c: ExtendedCospan) -> tm.Term:
-    """Re-express a box-free MDA cospan as a term interpreting to it."""
+    """Re-express a box-free MDA cospan as a term interpreting to it;
+    ``EngineError`` when an edge label cannot be read back as a generator
+    (``term.is_generator_name``)."""
     g = c.carrier
     if any(g.is_box(e) for e in g.edges):
         raise EngineError("cannot express a diagram with alternatives as a term")
+    for label in dict.fromkeys(g.label.values()):
+        if not tm.is_generator_name(label):
+            raise EngineError(f"cannot express label {label!r} as a generator in a term")
     avail = list(c.ext_in_vertices())
     remaining = set(g.edges)
     parts: list[tm.Term] = []
@@ -350,7 +355,9 @@ def extract(c: ExtendedCospan, m: Optional[CostModel] = None) -> tm.Term:
 
 def export_dot(c: ExtendedCospan) -> str:
     """Deterministic DOT rendering: hierarchical edges become dashed
-    clusters, their alternatives nested dashed sub-clusters."""
+    clusters, their alternatives nested dashed sub-clusters.  An edge label
+    is written as a DOT string with ``\\`` and ``"`` escaped by a
+    backslash."""
     g = c.carrier
     out: list[str] = [
         "digraph diagram {",
@@ -363,7 +370,8 @@ def export_dot(c: ExtendedCospan) -> str:
         return f'{indent}v{v} [shape=point, xlabel="{v}"];'
 
     def edge_node_line(e: int, indent: str) -> str:
-        return f'{indent}e{e} [shape=box, label="{g.label[e]}"];'
+        label = g.label[e].replace("\\", "\\\\").replace('"', '\\"')
+        return f'{indent}e{e} [shape=box, label="{label}"];'
 
     def emit_box(e: int, indent: str) -> None:
         out.append(f"{indent}subgraph cluster_e{e} {{")

@@ -3,8 +3,9 @@
 Graph documents carry ``vertices``, ``edges`` (id, label, sources, targets)
 and ``parents`` (child, parent, component); children are written as ``"v3"``
 or ``"e7"`` since vertex and edge ids live in separate spaces.  Cospan
-documents add the four interface fields.  Round-trips are exact after
-canonical renumbering.  E-graph documents carry ``classes`` with their nodes.
+documents add the four interface fields.  ``dumps_cospan`` numbers by
+position, so its documents round-trip byte for byte.  E-graph documents
+carry ``classes`` with their nodes.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import json
 from json.encoder import encode_basestring_ascii as _str
 from typing import Any, Iterable
 
-from .core import EHypergraph, copy_into
+from .core import EHypergraph
 from .cospan import ExtendedCospan
 from .egraph import EGraph, ENode
 
@@ -25,86 +26,69 @@ class SerializationError(Exception):
 HIERARCHICAL = "#box"
 
 
-def _child_ref(kind: str, i: int) -> str:
-    return f"{kind}{i}"
-
-
 def _parse_child(ref: str) -> tuple[str, int]:
     if not ref or ref[0] not in "ve" or not ref[1:].isdigit():
         raise SerializationError(f"bad child reference {ref!r}")
     return ref[0], int(ref[1:])
 
 
-def graph_to_doc(g: EHypergraph) -> dict[str, Any]:
-    parents = []
-    for v in g.vertices:
-        if v in g.vparent:
-            parents.append(
-                {"child": _child_ref("v", v), "parent": g.vparent[v],
-                 "component": g.vcomp[v]}
-            )
-    for e in g.edges:
-        if e in g.eparent:
-            parents.append(
-                {"child": _child_ref("e", e), "parent": g.eparent[e],
-                 "component": g.ecomp[e]}
-            )
-    return {
-        "vertices": list(g.vertices),
-        "edges": [
-            {
-                "id": e,
-                "label": HIERARCHICAL if g.label[e] is None else g.label[e],
-                "sources": list(g.source[e]),
-                "targets": list(g.target[e]),
-            }
-            for e in g.edges
-        ],
-        "parents": parents,
-    }
+_JSON_TYPES = {list: "list", int: "integer", str: "string"}
+_INT = frozenset({int})
+
+
+def _typed(x: Any, kind: type, what: str) -> Any:
+    """``x`` when it is a JSON value of ``kind``; ``true``, ``false`` and
+    ``1.0`` are not integers."""
+    if type(x) is not kind:
+        raise SerializationError(f"{what} must be a JSON {_JSON_TYPES[kind]}, not {x!r:.40}")
+    return x
+
+
+def _ints(x: Any, what: str) -> list[int]:
+    """``x`` when it is a JSON list of integers."""
+    if type(x) is not list or not _INT.issuperset(map(type, x)):
+        raise SerializationError(f"{what} must be a JSON list of integers, not {x!r:.40}")
+    return x
 
 
 def graph_from_doc(doc: dict[str, Any]) -> tuple[EHypergraph, dict[int, int]]:
     """The graph of a document, and the map from document vertex ids to
-    graph vertex ids (interface fields refer to document ids)."""
+    graph vertex ids (interface fields refer to document ids).  Every list
+    must be a JSON list, every id and component a JSON integer and every
+    label a JSON string."""
     g = EHypergraph()
     try:
         vmap: dict[int, int] = {}
-        for v in doc["vertices"]:
-            if int(v) in vmap:
+        for v in _ints(doc["vertices"], "vertices"):
+            if v in vmap:
                 raise SerializationError(f"duplicate vertex id {v}")
-            vmap[int(v)] = g.add_vertex()
+            vmap[v] = g.add_vertex()
         emap: dict[int, int] = {}
-        for ed in doc["edges"]:
-            if int(ed["id"]) in emap:
-                raise SerializationError(f"duplicate edge id {ed['id']}")
-            label = ed["label"]
-            emap[int(ed["id"])] = g.add_edge(
-                None if label == HIERARCHICAL else str(label),
-                [vmap[int(v)] for v in ed["sources"]],
-                [vmap[int(v)] for v in ed["targets"]],
+        for ed in _typed(doc["edges"], list, "edges"):
+            eid, label = ed["id"], ed["label"]
+            # Checked inline, as this loop runs once per edge; ``_typed`` raises.
+            if type(eid) is not int or type(label) is not str:
+                _typed(eid, int, "edge id")
+                _typed(label, str, "edge label")
+            if eid in emap:
+                raise SerializationError(f"duplicate edge id {eid}")
+            emap[eid] = g.add_edge(
+                None if label == HIERARCHICAL else label,
+                [vmap[v] for v in _ints(ed["sources"], "sources")],
+                [vmap[v] for v in _ints(ed["targets"], "targets")],
             )
-        for pd in doc.get("parents", []):
+        for pd in _typed(doc.get("parents", []), list, "parents"):
             kind, i = _parse_child(str(pd["child"]))
             ids, nest, comps = (
                 (vmap, g.vparent, g.vcomp) if kind == "v" else (emap, g.eparent, g.ecomp)
             )
             if ids[i] in nest:
                 raise SerializationError(f"duplicate parent entry for {kind}{i}")
-            nest[ids[i]] = emap[int(pd["parent"])]
-            comps[ids[i]] = int(pd["component"])
+            nest[ids[i]] = emap[_typed(pd["parent"], int, "parent")]
+            comps[ids[i]] = _typed(pd["component"], int, "component")
         return g, vmap
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed graph document: {exc}") from exc
-
-
-def cospan_to_doc(c: ExtendedCospan) -> dict[str, Any]:
-    doc = graph_to_doc(c.carrier)
-    doc["int_in"] = list(c.int_in)
-    doc["int_out"] = list(c.int_out)
-    doc["ext_in"] = list(c.ext_in)
-    doc["ext_out"] = list(c.ext_out)
-    return doc
 
 
 def cospan_from_doc(doc: dict[str, Any]) -> ExtendedCospan:
@@ -112,26 +96,13 @@ def cospan_from_doc(doc: dict[str, Any]) -> ExtendedCospan:
     try:
         return ExtendedCospan(
             g,
-            tuple(vmap[int(v)] for v in doc.get("int_in", [])),
-            tuple(vmap[int(v)] for v in doc.get("int_out", [])),
-            tuple(int(p) for p in doc.get("ext_in", [])),
-            tuple(int(p) for p in doc.get("ext_out", [])),
+            tuple(vmap[v] for v in _ints(doc.get("int_in", []), "int_in")),
+            tuple(vmap[v] for v in _ints(doc.get("int_out", []), "int_out")),
+            tuple(_ints(doc.get("ext_in", []), "ext_in")),
+            tuple(_ints(doc.get("ext_out", []), "ext_out")),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise SerializationError(f"malformed cospan document: {exc}") from exc
-
-
-def canonical_renumber(c: ExtendedCospan) -> ExtendedCospan:
-    """Rebuild with vertex/edge ids 0..n-1 in allocation order."""
-    ng = EHypergraph()
-    vmap, _ = copy_into(ng, c.carrier)
-    return ExtendedCospan(
-        ng,
-        tuple(vmap[v] for v in c.int_in),
-        tuple(vmap[v] for v in c.int_out),
-        tuple(c.ext_in),
-        tuple(c.ext_out),
-    )
 
 
 def _array(items: Iterable[str], indent: str) -> str:
@@ -150,10 +121,17 @@ _COSPAN = ('{\n  "vertices": %s,\n  "edges": %s,\n  "parents": %s,\n  "int_in": 
 
 
 def dumps_cospan(c: ExtendedCospan) -> str:
-    """The document of ``c`` after canonical renumbering, byte for byte
-    ``json.dumps(cospan_to_doc(canonical_renumber(c)), indent=2) + "\\n"``,
-    written straight from the carrier: ids are positions in ``vertices`` and
-    ``edges``, and strings go through the C encoder of ``json``."""
+    """The document of ``c``, byte for byte as ``json.dumps(doc, indent=2)``
+    lays it out plus a newline, written straight from the carrier.
+
+    Ids are positions in ``vertices`` and ``edges``.  Keys come in the order
+    ``vertices``, ``edges`` (``id``, ``label``, ``sources``, ``targets``; a
+    box is labelled ``"#box"``), ``parents``, ``int_in``, ``int_out``,
+    ``ext_in``, ``ext_out``.  ``parents`` lists nested vertices, then nested
+    edges, in carrier order, as ``child`` (``"v3"``, ``"e7"``), ``parent``
+    and ``component``, skipping a parent that is not an edge of the carrier.
+    Strings go through ``json``'s C encoder.  The test oracle
+    ``dumps_cospan_oracle`` builds the same text through ``json.dumps``."""
     g = c.carrier
     vnum = {v: str(i) for i, v in enumerate(g.vertices)}
     enum = {e: str(i) for i, e in enumerate(g.edges)}
@@ -164,8 +142,6 @@ def dumps_cospan(c: ExtendedCospan) -> str:
                  _array([vnum[v] for v in target[e]], "      "))
         for i, e in enumerate(g.edges)
     ]
-    # A parent that is not an edge of the carrier is not written, as
-    # ``canonical_renumber`` does not copy it.
     parents = [
         _PARENT % (kind, num[x], enum[parent[x]], comp[x])
         for kind, xs, num, parent, comp in (("v", g.vertices, vnum, g.vparent, g.vcomp),
@@ -194,24 +170,10 @@ def loads_cospan(text: str) -> ExtendedCospan:
 # ---------------------------------------------------------------------------
 
 
-def egraph_to_doc(eg: EGraph) -> dict[str, Any]:
-    return {
-        "classes": [
-            {
-                "id": c,
-                "nodes": [
-                    {"head": n.head, "children": list(n.children)}
-                    for n in eg.nodes(c)
-                ],
-            }
-            for c in eg.class_ids()
-        ]
-    }
-
-
 def egraph_from_doc(doc: dict[str, Any]) -> EGraph:
     """The e-graph of a document; ``SerializationError`` when it is malformed
-    or breaks the e-graph invariants.
+    (lists, ids and heads must be JSON lists, integers and strings) or breaks
+    the e-graph invariants.
 
     The invariants are checked while the e-graph is built, as the hashcons
     is filled.  Every listed class id is its own union-find root and every
@@ -223,19 +185,21 @@ def egraph_from_doc(doc: dict[str, Any]) -> EGraph:
     exactly the documents that ``check_invariants`` would."""
     eg = EGraph()
     try:
-        for cd in doc["classes"]:
-            cid = int(cd["id"])
+        classes = _typed(doc["classes"], list, "classes")
+        for cd in classes:
+            cid = _typed(cd["id"], int, "class id")
             if cid in eg.classes:
                 raise SerializationError(f"duplicate class id {cid}")
             eg._uf[cid] = cid
             eg.classes[cid] = set()
             eg._next = max(eg._next, cid + 1)
-        for cd in doc["classes"]:
-            cid = int(cd["id"])
-            if not cd["nodes"]:
+        for cd in classes:
+            cid = cd["id"]
+            if not _typed(cd["nodes"], list, "nodes"):
                 raise SerializationError(f"class {cid} has no nodes")
             for nd in cd["nodes"]:
-                n = ENode(str(nd["head"]), tuple(int(x) for x in nd["children"]))
+                n = ENode(_typed(nd["head"], str, "head"),
+                          tuple(_ints(nd["children"], "children")))
                 unknown = next((ch for ch in n.children if ch not in eg.classes), None)
                 if unknown is not None:
                     raise SerializationError(
@@ -268,8 +232,13 @@ _CLASS = '{\n      "id": %d,\n      "nodes": %s\n    }'
 
 
 def dumps_egraph(eg: EGraph) -> str:
-    """Byte for byte ``json.dumps(egraph_to_doc(eg), indent=2) + "\\n"``,
-    written directly as ``dumps_cospan`` is."""
+    """The document of ``eg``, byte for byte as ``json.dumps(doc, indent=2)``
+    lays it out, plus a newline, written directly as ``dumps_cospan`` is.
+
+    ``classes`` lists the classes in ``class_ids`` order, each as ``id`` and
+    ``nodes``; a node is ``head`` and ``children``, in ``nodes`` order.  The
+    test oracle ``dumps_egraph_oracle`` builds the same text through
+    ``json.dumps``."""
     classes = [
         _CLASS % (c, _array([_NODE % (_str(n.head), _array(map(str, n.children), "          "))
                              for n in eg.nodes(c)], "      "))

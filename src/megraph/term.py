@@ -82,6 +82,25 @@ def typecheck(t: Term, sig: Signature) -> TermType:
     return ty
 
 
+def _chain(t: Union[Comp, Tensor]) -> tuple[Term, list[Union[Comp, Tensor]]]:
+    """The innermost first operand of the left-associated chain of ``t``'s
+    kind that ends at ``t``, and the chain's nodes from the innermost out.
+
+    The parser and ``engine.term_of`` build chains this way, so walking one
+    with a loop takes no stack frame per link."""
+    nodes = []
+    if isinstance(t, Comp):
+        while isinstance(t, Comp):
+            nodes.append(t)
+            t = t.first
+    else:
+        while isinstance(t, Tensor):
+            nodes.append(t)
+            t = t.left
+    nodes.reverse()
+    return t, nodes
+
+
 def _infer(t: Term, sig: Signature) -> TermType:
     if isinstance(t, Gen):
         if t.name not in sig:
@@ -97,15 +116,26 @@ def _infer(t: Term, sig: Signature) -> TermType:
             raise TermTypeError("wire crossing of negative width")
         ty = TermType(t.left + t.right, t.left + t.right)
     elif isinstance(t, Comp):
-        a, b = _infer(t.first, sig), _infer(t.second, sig)
-        if a.cod != b.dom:
-            raise TermTypeError(
-                f"composition mismatch: {a.cod} outputs vs {b.dom} inputs"
-            )
-        ty = TermType(a.dom, b.cod)
+        first, nodes = _chain(t)
+        ty = _infer(first, sig)
+        for node in nodes:
+            b = _infer(node.second, sig)
+            if ty.cod != b.dom:
+                raise TermTypeError(
+                    f"composition mismatch: {ty.cod} outputs vs {b.dom} inputs"
+                )
+            ty = TermType(ty.dom, b.cod)
+            if ty.dom == 0 and ty.cod == 0:
+                _reject_empty(node)
+        return ty
     elif isinstance(t, Tensor):
-        a, b = _infer(t.left, sig), _infer(t.right, sig)
-        ty = TermType(a.dom + b.dom, a.cod + b.cod)
+        # Operands are not 0 -> 0, so neither is any node of the chain.
+        first, nodes = _chain(t)
+        ty = _infer(first, sig)
+        for node in nodes:
+            b = _infer(node.right, sig)
+            ty = TermType(ty.dom + b.dom, ty.cod + b.cod)
+        return ty
     elif isinstance(t, Join):
         types = {_infer(part, sig) for part in t.parts}
         if len(types) > 1:
@@ -114,8 +144,12 @@ def _infer(t: Term, sig: Signature) -> TermType:
     else:  # pragma: no cover
         raise TermTypeError(f"unknown term node: {t!r}")
     if ty.dom == 0 and ty.cod == 0:
-        raise TermTypeError(f"subterm of type 0 -> 0 is not supported: {print_term(t)}")
+        _reject_empty(t)
     return ty
+
+
+def _reject_empty(t: Term) -> None:
+    raise TermTypeError(f"subterm of type 0 -> 0 is not supported: {print_term(t)}")
 
 
 def interpret(t: Term, sig: Signature) -> cs.ExtendedCospan:
@@ -132,9 +166,17 @@ def _interp(t: Term, sig: Signature) -> cs.ExtendedCospan:
     if isinstance(t, Sym):
         return cs.symmetry_cospan(t.left, t.right)
     if isinstance(t, Comp):
-        return cs.compose(_interp(t.first, sig), _interp(t.second, sig))
+        first, nodes = _chain(t)
+        c = _interp(first, sig)
+        for node in nodes:
+            c = cs.compose(c, _interp(node.second, sig))
+        return c
     if isinstance(t, Tensor):
-        return cs.tensor(_interp(t.left, sig), _interp(t.right, sig))
+        first, nodes = _chain(t)
+        c = _interp(first, sig)
+        for node in nodes:
+            c = cs.tensor(c, _interp(node.right, sig))
+        return c
     if isinstance(t, Join):
         return cs.join([_interp(part, sig) for part in t.parts])
     raise TermTypeError(f"unknown term node: {t!r}")  # pragma: no cover
@@ -144,7 +186,17 @@ def _interp(t: Term, sig: Signature) -> cs.ExtendedCospan:
 # Parsing and printing
 # ---------------------------------------------------------------------------
 
-_TOKEN = re.compile(r"\s*(?:(?P<name>[A-Za-z_][A-Za-z0-9_]*)|(?P<int>\d+)|(?P<sym>[;*+():,]))")
+_NAME = r"[A-Za-z_][A-Za-z0-9_]*"
+_TOKEN = re.compile(rf"\s*(?:(?P<name>{_NAME})|(?P<int>\d+)|(?P<sym>[;*+():,]))")
+# Names that the grammar reads as wirings, so that no generator can have them.
+_KEYWORDS = frozenset({"id", "sym"})
+_GENERATOR_NAME = re.compile(_NAME)
+
+
+def is_generator_name(name: str) -> bool:
+    """Whether a term can name a generator ``name``: a name token of the
+    grammar other than ``id`` and ``sym``."""
+    return name not in _KEYWORDS and _GENERATOR_NAME.fullmatch(name) is not None
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
@@ -254,7 +306,13 @@ class _Parser:
 
 
 def parse(text: str) -> Term:
-    return _Parser(text).parse()
+    parser = _Parser(text)
+    try:
+        return parser.parse()
+    except RecursionError:
+        tok = parser.peek()
+        raise TermSyntaxError("term nested too deeply",
+                              tok[2] if tok else len(text)) from None
 
 
 def print_term(t: Term) -> str:
@@ -272,11 +330,25 @@ def _print(t: Term, level: int) -> str:
     if isinstance(t, Join):
         body = " + ".join(_print(p, 1) for p in t.parts)
         return f"({body})" if level > 0 else body
+    # A chain is printed from its last operand back along its left spine,
+    # without ``_chain``'s node list, which made printing slower.
     if isinstance(t, Comp):
-        body = f"{_print(t.first, 1)} ; {_print(t.second, 2)}"
+        parts = []
+        while isinstance(t, Comp):
+            parts.append(_print(t.second, 2))
+            t = t.first
+        parts.append(_print(t, 1))
+        parts.reverse()
+        body = " ; ".join(parts)
         return f"({body})" if level > 1 else body
     if isinstance(t, Tensor):
-        body = f"{_print(t.left, 2)} * {_print(t.right, 3)}"
+        parts = []
+        while isinstance(t, Tensor):
+            parts.append(_print(t.right, 3))
+            t = t.left
+        parts.append(_print(t, 2))
+        parts.reverse()
+        body = " * ".join(parts)
         return f"({body})" if level > 2 else body
     raise ValueError(f"unknown term node: {t!r}")  # pragma: no cover
 
@@ -286,7 +358,7 @@ def _print(t: Term, level: int) -> str:
 # ---------------------------------------------------------------------------
 
 _SIG_LINE = re.compile(
-    r"^\s*(?P<name>[A-Za-z_][A-Za-z0-9_]*)\s*:\s*(?P<dom>\d+)\s*->\s*(?P<cod>\d+)\s*$"
+    rf"^\s*(?P<name>{_NAME})\s*:\s*(?P<dom>\d+)\s*->\s*(?P<cod>\d+)\s*$"
 )
 
 
@@ -300,5 +372,8 @@ def parse_signature(text: str, cartesian: bool = False) -> Signature:
         m = _SIG_LINE.match(line)
         if not m:
             raise ValueError(f"signature line {lineno}: cannot parse {raw!r}")
+        if m.group("name") in _KEYWORDS:
+            raise ValueError(f"signature line {lineno}: {m.group('name')!r} is a wiring "
+                             "of the term grammar, not a generator name")
         gens.append(Generator(m.group("name"), int(m.group("dom")), int(m.group("cod"))))
     return Signature(gens, cartesian=cartesian)

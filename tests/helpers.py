@@ -6,6 +6,7 @@ import random
 from typing import Optional
 
 from megraph import term as tm
+from megraph.core import EHomomorphism, EHypergraph
 from megraph.cospan import iso
 from megraph.engine import components
 from megraph.term import Comp, Gen, Id, Join, Sym, Tensor, interpret, parse, parse_signature
@@ -150,3 +151,21 @@ def gen_count(t: tm.Term) -> int:
     if isinstance(t, Tensor):
         return gen_count(t.left) + gen_count(t.right)
     return sum(gen_count(p) for p in t.parts)
+
+
+def identity_hom(g: EHypergraph) -> EHomomorphism:
+    return EHomomorphism(
+        dom=g, cod=g, vmap={v: v for v in g.vertices}, emap={e: e for e in g.edges}
+    )
+
+
+def then(h: EHomomorphism, k: EHomomorphism) -> EHomomorphism:
+    """``h`` followed by ``k``."""
+    if k.dom is not h.cod:
+        raise ValueError("composition mismatch")
+    return EHomomorphism(
+        dom=h.dom,
+        cod=k.cod,
+        vmap={v: k.vmap[w] for v, w in h.vmap.items()},
+        emap={e: k.emap[d] for e, d in h.emap.items()},
+    )

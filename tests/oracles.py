@@ -28,6 +28,7 @@ from megraph.core import (
     EHomomorphism,
     Element,
     Signature,
+    copy_into,
     down_closure,
     is_acyclic,
 )
@@ -57,12 +58,7 @@ from megraph.rewrite import (
     extract_subdiagram,
     find_matches,
 )
-from megraph.serialize import (
-    SerializationError,
-    canonical_renumber,
-    cospan_to_doc,
-    egraph_to_doc,
-)
+from megraph.serialize import HIERARCHICAL, SerializationError
 
 
 # ---------------------------------------------------------------------------
@@ -628,12 +624,12 @@ def validate_cospan_oracle(c: ExtendedCospan, sig: Optional[Signature] = None) -
             if not (0 <= p < len(slots)):
                 report.append(f"{side} external position {p} out of range")
                 continue
-            if slots[p] in vset and not c.carrier.is_top_level(("v", slots[p])):
+            if slots[p] in vset and c.carrier.parent_of(("v", slots[p])) is not None:
                 report.append(f"{side} external slot {p} maps to a nested vertex")
         for p in range(len(slots)):
             if p in ext_set or slots[p] not in vset:
                 continue
-            if c.carrier.is_top_level(("v", slots[p])):
+            if c.carrier.parent_of(("v", slots[p])) is None:
                 report.append(
                     f"{side} strictly internal slot {p} maps to a top-level vertex"
                 )
@@ -688,6 +684,70 @@ def is_mda_well_typed_oracle(c: ExtendedCospan) -> list[str]:
             report.append(f"vertex {v}: out-degree-0 iff output-slot violated")
     report.extend(box_typing_oracle(c))
     return report
+
+
+def graph_to_doc(g: EHypergraph) -> dict[str, Any]:
+    parents = []
+    for v in g.vertices:
+        if v in g.vparent:
+            parents.append(
+                {"child": f"v{v}", "parent": g.vparent[v], "component": g.vcomp[v]}
+            )
+    for e in g.edges:
+        if e in g.eparent:
+            parents.append(
+                {"child": f"e{e}", "parent": g.eparent[e], "component": g.ecomp[e]}
+            )
+    return {
+        "vertices": list(g.vertices),
+        "edges": [
+            {
+                "id": e,
+                "label": HIERARCHICAL if g.label[e] is None else g.label[e],
+                "sources": list(g.source[e]),
+                "targets": list(g.target[e]),
+            }
+            for e in g.edges
+        ],
+        "parents": parents,
+    }
+
+
+def cospan_to_doc(c: ExtendedCospan) -> dict[str, Any]:
+    doc = graph_to_doc(c.carrier)
+    doc["int_in"] = list(c.int_in)
+    doc["int_out"] = list(c.int_out)
+    doc["ext_in"] = list(c.ext_in)
+    doc["ext_out"] = list(c.ext_out)
+    return doc
+
+
+def canonical_renumber(c: ExtendedCospan) -> ExtendedCospan:
+    """Rebuild with vertex/edge ids 0..n-1 in allocation order."""
+    ng = EHypergraph()
+    vmap, _ = copy_into(ng, c.carrier)
+    return ExtendedCospan(
+        ng,
+        tuple(vmap[v] for v in c.int_in),
+        tuple(vmap[v] for v in c.int_out),
+        tuple(c.ext_in),
+        tuple(c.ext_out),
+    )
+
+
+def egraph_to_doc(eg: EGraph) -> dict[str, Any]:
+    return {
+        "classes": [
+            {
+                "id": c,
+                "nodes": [
+                    {"head": n.head, "children": list(n.children)}
+                    for n in eg.nodes(c)
+                ],
+            }
+            for c in eg.class_ids()
+        ]
+    }
 
 
 def dumps_cospan_oracle(c: ExtendedCospan) -> str:

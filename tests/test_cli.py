@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 
 import pytest
 from click.testing import CliRunner
@@ -10,6 +11,7 @@ from megraph.cli import main
 from megraph.cospan import iso
 from megraph.egraph import egraph_of_term_tree, translate
 from megraph.serialize import dumps_cospan, dumps_egraph, loads_cospan
+from megraph.term import parse
 
 from .fixtures import pipeline_egraphs
 from .helpers import ARITH, ARITH_SIG_TEXT, BASIC_SIG_TEXT, interp
@@ -308,16 +310,18 @@ class TestFuzzedDocuments:
         for i, text in enumerate(fuzz_documents(seed=3, count=100)):
             path = tmp_path / f"doc{i}.json"
             path.write_text(text)
-            codes = {}
+            codes, outputs = {}, {}
             for command, options in commands.items():
                 res = RUNNER.invoke(main, [command.split()[0], str(path), *options])
                 where = f"{command} on document {i}: {text}"
                 assert res.exit_code in (0, 1, 2), where
                 assert res.exception is None or isinstance(res.exception, SystemExit), where
                 assert "Traceback" not in res.output, where
-                codes[command] = res.exit_code
+                codes[command], outputs[command] = res.exit_code, res.stdout
             if codes["check"] != 0:
                 assert 0 not in codes.values(), (codes, text)
+            if codes["extract"] == 0:
+                parse(outputs["extract"])
             # The rewriting commands are given the signature, so they type
             # their input by it, as `check --sig` does.
             if codes["check --sig"] != 0:
@@ -399,6 +403,43 @@ class TestFuzzedEGraphDocuments:
         assert 0 < valid < 100
 
 
+class TestLongTerms:
+    """Terms longer, and nested deeper, than Python's recursion limit."""
+
+    def test_long_chain_interprets_and_extracts_back(self, tmp_path):
+        (tmp_path / "f.sig").write_text("f : 1 -> 1\n")
+        text = " ; ".join(["f"] * 1100)
+        res = RUNNER.invoke(main, ["interp", text, "--sig", str(tmp_path / "f.sig")])
+        assert res.exit_code == 0, res.output[-300:]
+        c = loads_cospan(res.stdout)
+        path = tmp_path / "c.json"
+        path.write_text(res.stdout)
+        res = RUNNER.invoke(main, ["extract", str(path)])
+        assert res.exit_code == 0, res.output[-300:]
+        assert res.stdout == text + "\n"
+        assert iso(interp(res.stdout), c) is not None
+
+    def test_deep_egraph_imports_and_extracts(self, tmp_path):
+        (tmp_path / "neg.sig").write_text("a : 0 -> 1\nneg : 1 -> 1\n")
+        classes = [{"id": 0, "nodes": [{"head": "a", "children": []}]}] + [
+            {"id": i, "nodes": [{"head": "neg", "children": [i - 1]}]} for i in range(1, 1500)]
+        (tmp_path / "eg.json").write_text(json.dumps({"classes": classes}))
+        res = RUNNER.invoke(main, ["import-egraph", str(tmp_path / "eg.json"),
+                                   "--sig", str(tmp_path / "neg.sig")])
+        assert res.exit_code == 0, res.output[-300:]
+        (tmp_path / "c.json").write_text(res.stdout)
+        res = RUNNER.invoke(main, ["extract", str(tmp_path / "c.json")])
+        assert res.exit_code == 0, res.output[-300:]
+        assert res.stdout == " ; ".join(["a"] + ["neg"] * 1499) + "\n"
+
+    def test_deep_nesting_exits_1(self, sig):
+        res = RUNNER.invoke(main, ["interp", "(" * 1200 + "f" + ")" * 1200, "--sig", sig])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert "term nested too deeply" in res.output
+        assert "Traceback" not in res.output
+
+
 class TestBareWires:
     def test_normalize_leaves_a_box_beside_a_bare_wire(self, tmp_path):
         host = interp("(f + g) * id:1")
@@ -442,3 +483,32 @@ class TestImportAndDot:
         assert res.exit_code == 0
         assert res.stdout.startswith("digraph")
         assert "cluster" in res.stdout
+
+    def test_export_dot_escapes_labels(self, tmp_path):
+        labels = ['a"];evil[shape="star', "b\\", "h"]
+        path = write_doc(tmp_path, interp("f ; g ; h"),
+                         lambda doc: [ed.update(label=label)
+                                      for ed, label in zip(doc["edges"], labels)])
+        assert RUNNER.invoke(main, ["check", path]).exit_code == 0
+        res = RUNNER.invoke(main, ["export-dot", path])
+        assert res.exit_code == 0
+        # Statements, split at semicolons outside DOT strings.
+        string = r'"(?:[^"\\]|\\.)*"'
+        bare = re.sub(string, '""', res.stdout)
+        nodes = [re.match(r"\s*(\w+)\s*\[", st) for st in re.split(r"[;{}\n]", bare)
+                 if "->" not in st]
+        nodes = sorted(m[1] for m in nodes if m and m[1] != "node")
+        assert nodes == ["e0", "e1", "e2"] + [f"v{i}" for i in range(4)]
+        written = re.findall(rf"e\d+ \[shape=box, label=({string})\];", res.stdout)
+        assert [re.sub(r"\\(.)", r"\1", w[1:-1]) for w in written] == labels
+
+    @pytest.mark.parametrize("label", ["id", "sym", "f g", 'a"];evil[shape="star'])
+    def test_extract_rejects_a_label_that_is_not_a_generator_name(self, tmp_path, label):
+        path = write_doc(tmp_path, interp("f ; g"),
+                         lambda doc: doc["edges"][1].update(label=label))
+        assert RUNNER.invoke(main, ["check", path]).exit_code == 0
+        res = RUNNER.invoke(main, ["extract", path])
+        assert res.exit_code == 1
+        assert isinstance(res.exception, SystemExit)
+        assert repr(label) in res.output
+        assert res.stdout == ""

@@ -9,7 +9,6 @@ from megraph.core import (
     Signature,
     degrees,
     down_closure,
-    identity_hom,
     is_acyclic,
     is_convex,
     validate,
@@ -17,7 +16,7 @@ from megraph.core import (
 from megraph.cospan import join
 from megraph.term import parse
 
-from .helpers import BASIC, interp
+from .helpers import BASIC, identity_hom, interp, then
 
 
 def chain(labels):
@@ -220,7 +219,7 @@ class TestHomomorphisms:
         assert len(hs) == 2
         ident = identity_hom(host)
         for h in hs:
-            assert h.then(ident).violations() == []
+            assert then(h, ident).violations() == []
 
     def test_parent_preservation_required(self):
         boxed = join([interp("f"), interp("g")]).carrier

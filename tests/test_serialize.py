@@ -8,7 +8,6 @@ from megraph.cospan import iso, join
 from megraph.egraph import ENode, egraph_of_term_tree, translate
 from megraph.serialize import (
     SerializationError,
-    canonical_renumber,
     dumps_cospan,
     dumps_egraph,
     loads_cospan,
@@ -16,6 +15,7 @@ from megraph.serialize import (
 )
 
 from .helpers import ARITH, interp
+from .oracles import canonical_renumber
 
 
 class TestCospanRoundTrip:
@@ -58,6 +58,61 @@ class TestCospanRoundTrip:
         doc["parents"] += [dict(pd, component=1 - pd["component"]) for pd in doc["parents"]]
         with pytest.raises(SerializationError, match=f"duplicate parent entry for {first}$"):
             loads_cospan(json.dumps(doc))
+
+
+def edited(doc, path, value):
+    """``doc`` with the value at ``path`` (keys and indices) replaced."""
+    doc = json.loads(json.dumps(doc))
+    *inner, last = path
+    at = doc
+    for key in inner:
+        at = at[key]
+    at[last] = value
+    return json.dumps(doc)
+
+
+class TestReaderTypes:
+    """Each field must have its JSON type; nothing is converted."""
+
+    COSPAN = json.loads(dumps_cospan(interp("h ; (f + g)")))
+    EGRAPH = json.loads(dumps_egraph(egraph_of_term_tree(("mul", "a", "two"))[0]))
+
+    @pytest.mark.parametrize("path", [("vertices",), ("edges",), ("edges", 0, "sources"),
+                                      ("edges", 0, "targets"), ("parents",), ("int_in",),
+                                      ("int_out",), ("ext_in",), ("ext_out",)])
+    def test_cospan_lists_must_be_lists(self, path):
+        with pytest.raises(SerializationError, match="must be a JSON list"):
+            loads_cospan(edited(self.COSPAN, path, "0"))
+
+    @pytest.mark.parametrize("value", [1.9, 1.0, True, "1"])
+    @pytest.mark.parametrize("path", [("vertices", 1), ("edges", 0, "id"),
+                                      ("edges", 0, "sources", 0), ("parents", 0, "parent"),
+                                      ("parents", 0, "component"), ("int_out", 0),
+                                      ("ext_in", 0)])
+    def test_cospan_ids_and_positions_must_be_integers(self, path, value):
+        with pytest.raises(SerializationError, match="must be a JSON (list of )?integer"):
+            loads_cospan(edited(self.COSPAN, path, value))
+
+    def test_cospan_labels_must_be_strings(self):
+        with pytest.raises(SerializationError, match="edge label must be a JSON string"):
+            loads_cospan(edited(self.COSPAN, ("edges", 0, "label"), 5))
+
+    @pytest.mark.parametrize("path", [("classes",), ("classes", 0, "nodes"),
+                                      ("classes", 2, "nodes", 0, "children")])
+    def test_egraph_lists_must_be_lists(self, path):
+        with pytest.raises(SerializationError, match="must be a JSON list"):
+            loads_egraph(edited(self.EGRAPH, path, "0"))
+
+    @pytest.mark.parametrize("value", [1.5, 0.0, False, "0"])
+    @pytest.mark.parametrize("path", [("classes", 0, "id"),
+                                      ("classes", 2, "nodes", 0, "children", 0)])
+    def test_egraph_ids_must_be_integers(self, path, value):
+        with pytest.raises(SerializationError, match="must be a JSON (list of )?integer"):
+            loads_egraph(edited(self.EGRAPH, path, value))
+
+    def test_egraph_heads_must_be_strings(self):
+        with pytest.raises(SerializationError, match="head must be a JSON string"):
+            loads_egraph(edited(self.EGRAPH, ("classes", 0, "nodes", 0, "head"), 5))
 
 
 class TestEGraphRoundTrip:

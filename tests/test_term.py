@@ -12,9 +12,12 @@ from megraph.term import (
     Sym,
     Tensor,
     TermSyntaxError,
+    TermType,
     TermTypeError,
     interpret,
+    is_generator_name,
     parse,
+    parse_signature,
     print_term,
     typecheck,
 )
@@ -30,6 +33,10 @@ class TestTypecheck:
     def test_zero_to_zero_rejected(self):
         with pytest.raises(TermTypeError):
             typecheck(Comp(Gen("a"), Gen("del")), ARITH)
+
+    def test_zero_to_zero_inside_a_chain_rejected(self):
+        with pytest.raises(TermTypeError, match="0 -> 0 .*: a \\* a ; mul ; del$"):
+            typecheck(parse("a * a ; mul ; del ; a"), ARITH)
 
     def test_join_of_identity_and_generator(self):
         ty = typecheck(Join((Id(1), Gen("f"))), BASIC)
@@ -112,3 +119,37 @@ class TestInterpret:
     def test_every_interpretation_is_mda_well_typed(self):
         for text in ["f ; g", "f * g", "s ; (f * g) ; k", "a ; (f + (g ; h))"]:
             assert is_mda_well_typed(interp(text)) == []
+
+
+class TestLongTerms:
+    """Chains longer than the interpreter's recursion limit, left-associated
+    as the parser builds them, and parentheses nested deeper than it."""
+
+    N = 3000
+
+    @pytest.mark.parametrize("op, ty", [(" ; ", TermType(1, 1)), (" * ", TermType(N, N))])
+    def test_chain_typechecks_and_prints_back(self, op, ty):
+        text = op.join(["f"] * self.N)
+        t = parse(text)
+        assert typecheck(t, BASIC) == ty
+        assert print_term(t) == text
+
+    def test_deep_nesting_is_a_syntax_error(self):
+        with pytest.raises(TermSyntaxError, match="term nested too deeply"):
+            parse("(" * 1200 + "f" + ")" * 1200)
+
+
+class TestGeneratorNames:
+    @pytest.mark.parametrize("name", ["f", "_x1", "mul", "idx", "symbol", "Id"])
+    def test_names_that_read_back(self, name):
+        assert is_generator_name(name)
+        assert parse(name) == Gen(name)
+
+    @pytest.mark.parametrize("name", ["id", "sym", "f g", "", "1f", "f;g", 'a"];evil'])
+    def test_names_that_do_not(self, name):
+        assert not is_generator_name(name)
+
+    @pytest.mark.parametrize("name", ["id", "sym"])
+    def test_signature_rejects_grammar_words(self, name):
+        with pytest.raises(ValueError, match=f"line 2: '{name}' is a wiring"):
+            parse_signature(f"f : 1 -> 1\n{name} : 1 -> 1\n")
