@@ -149,6 +149,11 @@ def _glue_vertices(m: Match) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return ins, outs
 
 
+def _bare_wire(c: ExtendedCospan) -> bool:
+    """Whether some vertex of ``c`` is both an external input and output."""
+    return not set(c.ext_in_vertices()).isdisjoint(c.ext_out_vertices())
+
+
 def _interface_images_admissible(host: EHypergraph, vs: Sequence[int]) -> bool:
     """All glue images top-level, or all in one box component (and so with
     one chain of ancestors)."""
@@ -163,7 +168,7 @@ def find_matches(rule: RewriteRule, host: ExtendedCospan) -> list[Match]:
     output glue would overlap, so no boundary complement exists.
     """
     lhs = rule.lhs
-    if set(lhs.ext_in_vertices()) & set(lhs.ext_out_vertices()):
+    if _bare_wire(lhs):
         return []
     out: list[Match] = []
     hg = host.carrier
@@ -311,11 +316,14 @@ def boundary_complement(m: Match) -> Complement:
 
 @dataclass(repr=False, eq=False)
 class Glued(ExtendedCospan):
-    """The result of gluing a right-hand side into a hole, with the
-    comatch: the right-hand side's carrier embedded in the result (the
-    pushout's right injection)."""
+    """The result of gluing a right-hand side into a hole, with the two
+    injections of the pushout: ``comatch`` embeds the right-hand side's
+    carrier in the result, and ``context`` maps the host elements that the
+    step kept (the complement, which keeps host ids) to the result.  A glue
+    vertex is in the image of both."""
 
     comatch: EHomomorphism
+    context: EHomomorphism
 
 
 def apply(m: Match) -> ExtendedCospan:
@@ -325,7 +333,7 @@ def apply(m: Match) -> ExtendedCospan:
     report nothing), as every loader, ``RewriteRule`` and every earlier
     step ensure: the step checks only what it changes (see
     ``boundary_complement`` and ``_glue``).  The result is a ``Glued``,
-    which also holds the comatch."""
+    which also holds the comatch and the context map."""
     return _glue(boundary_complement(m), m.rule.rhs)
 
 
@@ -361,7 +369,7 @@ def _glue(comp: Complement, rhs: ExtendedCospan) -> Glued:
     int_out = tuple(inj_c[v] for v in comp.kept_int_out) + tuple(
         inj_r[rhs.int_out[p]] for p in rhs.strict_out_positions()
     )
-    result = Glued(po.obj, int_in, int_out, *comp.host_ext(), po.inj_right)
+    result = Glued(po.obj, int_in, int_out, *comp.host_ext(), po.inj_right, po.inj_left)
     points = [inj_c[v] for v in comp.out_glue + comp.in_glue]
     report = _slot_report(int_in, int_out, _degrees(po.obj, points))
     box = po.obj.vparent.get(points[0]) if points else None

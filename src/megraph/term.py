@@ -46,16 +46,47 @@ class Sym:
     right: int
 
 
-@dataclass(frozen=True)
-class Comp:
+class _Link:
+    """Equality, hashing and ``repr`` of a binary node, walking the
+    left-associated chain that ends at the node with ``_chain`` instead of
+    a stack frame per link: the parser and ``engine.term_of`` build such
+    chains, as long as the input.  Equality and ``repr`` are those of the
+    generated dataclass methods."""
+
+    _names: tuple[str, str]  # the node's two fields
+
+    def _operands(self) -> tuple["Term", list["Term"]]:
+        """The chain's innermost first operand, and its other operands."""
+        first, nodes = _chain(self)
+        return first, [getattr(node, self._names[1]) for node in nodes]
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._operands() == other._operands()
+
+    def __hash__(self) -> int:
+        first, rest = self._operands()
+        return hash((first, tuple(rest)))
+
+    def __repr__(self) -> str:
+        first, rest = self._operands()
+        head, tail = f"{type(self).__name__}({self._names[0]}=", f", {self._names[1]}="
+        return head * len(rest) + repr(first) + "".join(f"{tail}{x!r})" for x in rest)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Comp(_Link):
     first: "Term"
     second: "Term"
+    _names = ("first", "second")
 
 
-@dataclass(frozen=True)
-class Tensor:
+@dataclass(frozen=True, eq=False, repr=False)
+class Tensor(_Link):
     left: "Term"
     right: "Term"
+    _names = ("left", "right")
 
 
 @dataclass(frozen=True)

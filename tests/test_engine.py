@@ -20,10 +20,12 @@ from megraph.engine import (
     saturate,
 )
 from megraph.rewrite import rule_from_terms
+from megraph.serialize import dumps_cospan
 from megraph.term import interpret, parse, parse_signature, print_term, typecheck
 
 from .fixtures import expected_stage_b
 from .helpers import ARITH, BASIC, UNARY, interp, same_alternatives
+from .oracles import saturate_worklist_oracle
 
 
 class TestNormalize:
@@ -113,7 +115,7 @@ class TestSaturate:
             Strategy(max_steps=-1)
 
 
-SWAP = parse_signature("f0: 1 -> 1\nf1: 1 -> 1\n")
+SWAP = parse_signature("f0: 1 -> 1\nf1: 1 -> 1\ng: 1 -> 1\n")
 
 
 def saturate_terms(lhs, rhs, host, sig=UNARY, **strategy):
@@ -164,25 +166,57 @@ class TestSaturateWorklist:
         assert res.saturated and res.steps == 1
         assert same_alternatives(res.result, ["f", "g"])
 
-    @pytest.mark.parametrize("copies, steps, dpo_steps", [
-        pytest.param(3, 19, 41, id="3-19"),
-        pytest.param(4, 69, 211, id="4-69"),
-        pytest.param(5, 251, 1009, id="5-251"),
+    @pytest.mark.parametrize("host, steps, dpo_steps", [
+        pytest.param(" ; ".join(["f0 ; f1"] * 3), 19, 21, id="3-19"),
+        pytest.param(" ; ".join(["f0 ; f1"] * 4), 69, 103, id="4-69"),
+        pytest.param(" ; ".join(["f0 ; f1"] * 5), 251, 505, id="5-251"),
+        pytest.param(" ; g ; ".join(["f0 ; f1"] * 6), 63, 161, id="6-sites"),
+        pytest.param(" * ".join(["(f0 ; f1)"] * 4), 15, 25, id="4-strands"),
     ])
-    def test_swap_chain_counts(self, monkeypatch, copies, steps, dpo_steps):
-        # Every DPO step cuts one boundary complement.  Each added
-        # alternative is spared the step back to its host, so the worklist
-        # that takes every step (60, 280 and 1260) makes ``steps`` more.
+    def test_swap_chain_counts(self, monkeypatch, host, steps, dpo_steps):
+        # Every DPO step cuts one boundary complement.  The worklist that
+        # takes every step makes 60, 280, 1260, 384 and 64, and skipping
+        # only the step back to each alternative's host 41, 211, 1009, 321
+        # and 49.  Skipping also the steps that commute with a step already
+        # taken about halves those.
         cuts = []
         real = rewrite.boundary_complement
         monkeypatch.setattr(rewrite, "boundary_complement", lambda m: cuts.append(m) or real(m))
         t0 = time.perf_counter()
-        res = saturate_terms("f0 ; f1", "f1 ; f0", " ; ".join(["f0 ; f1"] * copies),
-                             sig=SWAP, bidirectional=True, max_steps=1000)
+        res = saturate_terms("f0 ; f1", "f1 ; f0", host, sig=SWAP, bidirectional=True,
+                             max_steps=1000)
         assert time.perf_counter() - t0 < 20
         assert res.saturated and res.steps == steps
         assert len(components(res.result)) == steps + 1
         assert len(cuts) == dpo_steps
+
+    @pytest.mark.parametrize("bidirectional", [False, True])
+    def test_a_square_closes_only_through_a_step_taken(self, bidirectional):
+        # Strand one reads a ; c, strand two c ; a.  The steps s and t are
+        # parallel independent, but after t joins the two a's a path leads
+        # from one c to the other, so s is no longer convex there: the
+        # alternative that t made takes no s step to close the square.  A
+        # skip of t after s that does not ask for that step adds only 3.
+        sig = parse_signature("a: 1 -> 1\nb: 1 -> 1\nc: 1 -> 1\nm: 2 -> 1\nd: 1 -> 2\n")
+        rules = [rule_from_terms("t", parse("a * a"), parse("m ; d"), sig),
+                 rule_from_terms("s", parse("c * c"), parse("b * b"), sig)]
+        host = interpret(parse("(a ; c) * (c ; a)"), sig)
+        strategy = Strategy(rules=rules, bidirectional=bidirectional)
+        res, expected = saturate(host, strategy), saturate_worklist_oracle(host, strategy)
+        assert res.saturated and res.steps == expected.steps == 5
+        assert dumps_cospan(res.result) == dumps_cospan(expected.result)
+
+    def test_no_step_of_a_rule_with_strictly_internal_slots_is_skipped(self):
+        # The wires of the right-hand side's box are strictly internal
+        # slots, which ``apply`` appends after the host's, so a step and
+        # the step back can reorder a slot block.  Skipping steps of this
+        # rule on the nested box adds 2.
+        rule = rule_from_terms("r", parse("s ; k"), parse("g + (a * id:1 ; sym:1,1 ; k)"), BASIC)
+        host = join_raw([join_raw([interp("g"), interp("s ; k")]), interp("g")])
+        strategy = Strategy(rules=[rule], bidirectional=True)
+        res, expected = saturate(host, strategy), saturate_worklist_oracle(host, strategy)
+        assert res.saturated and res.steps == expected.steps == 3
+        assert dumps_cospan(res.result) == dumps_cospan(expected.result)
 
     def test_one_canonical_form_per_candidate_component(self, monkeypatch):
         # Every component that saturate considers is canonicalised once:

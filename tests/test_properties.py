@@ -1,6 +1,7 @@
 """Property-based tests of the algebraic laws, driven by seeded random terms."""
 
 import copy
+import itertools
 import json
 import random
 from fractions import Fraction
@@ -36,6 +37,7 @@ from megraph.egraph import EGraph, ENode
 from megraph.engine import (
     CostModel,
     Strategy,
+    _carried,
     _strict_slots,
     _top_box,
     components,
@@ -61,6 +63,7 @@ from megraph.rewrite import (
     extract_subdiagram,
     find_matches,
     monomorphisms,
+    rule_from_terms,
     structural_matches,
 )
 from megraph.serialize import (
@@ -70,7 +73,9 @@ from megraph.serialize import (
     loads_cospan,
     loads_egraph,
 )
-from megraph.term import Comp, Gen, Id, Join, Sym, Tensor, interpret, print_term
+from megraph.term import (
+    Comp, Gen, Id, Join, Sym, Tensor, interpret, parse, parse_signature, print_term,
+)
 
 from .helpers import (
     BASIC,
@@ -664,6 +669,40 @@ class TestSaturateAgainstOracle:
         assert saturation_outcome(saturate, host, s) == \
             saturation_outcome(saturate_worklist_oracle, host, s)
 
+    @given(seeds)
+    @settings(max_examples=300, deadline=None)
+    def test_skipping_commuting_steps_changes_nothing(self, seed):
+        host, s = commuting_case(random.Random(seed))
+        assert saturation_outcome(saturate, host, s) == \
+            saturation_outcome(saturate_worklist_oracle, host, s)
+
+
+COMMUTING = parse_signature("a: 1 -> 1\nb: 1 -> 1\nc: 1 -> 1\nm: 2 -> 1\nd: 1 -> 2\n")
+COMMUTING_RULES = [
+    ("a ; b", "b ; a"), ("b ; c", "c ; b"), ("a ; c", "c ; a"),  # swaps
+    ("a ; a", "a"), ("b ; c", "a"),  # contractions
+    ("a", "a ; b"), ("c", "b ; b"),  # expansions
+    ("a * c", "m ; d"),  # joins two strands
+    ("b", "id:1"),  # deletes, with a bare wire on the right
+]
+
+
+def commuting_case(rng):
+    """A host and a strategy under which many steps commute: one word or two
+    or three parallel ones over a, b and c, sometimes with a box before or
+    after one of them, and one to three rules of ``COMMUTING_RULES``."""
+    words = [" ; ".join(rng.choices("abc", k=rng.randint(1, 4)))
+             for _ in range(rng.choice([1, 2, 2, 3, 3]))]
+    if rng.random() < 0.3:
+        i = rng.randrange(len(words))
+        box = f"({rng.choice('abc')} + {rng.choice('abc')})"
+        words[i] = f"{box} ; {words[i]}" if rng.random() < 0.5 else f"{words[i]} ; {box}"
+    host = interpret(parse(" * ".join(f"({w})" for w in words)), COMMUTING)
+    rules = [rule_from_terms(f"r{k}", parse(lhs), parse(rhs), COMMUTING)
+             for k, (lhs, rhs) in enumerate(rng.sample(COMMUTING_RULES, rng.randint(1, 3)))]
+    return host, Strategy(rules=rules, max_steps=rng.randint(4, 30),
+                          bidirectional=rng.random() < 0.75)
+
 
 class TestReversedRule:
     @given(seeds)
@@ -715,6 +754,48 @@ class TestInverseStep:
                         if (k.hom.vmap, k.hom.emap) == comatch]
                 assert len(back) == 1
                 assert iso(apply(back[0]), host) is not None
+
+
+def carried(m, hom):
+    """The vertex and edge maps of ``m`` followed by ``hom``, or None where
+    ``hom`` is undefined on ``m``'s image."""
+    if not set(m.hom.vmap.values()) <= hom.vmap.keys() or \
+            not set(m.hom.emap.values()) <= hom.emap.keys():
+        return None
+    return ({a: hom.vmap[b] for a, b in m.hom.vmap.items()},
+            {a: hom.emap[b] for a, b in m.hom.emap.items()})
+
+
+class TestLocalChurchRosser:
+    @given(seeds)
+    @MATCHING
+    def test_independent_steps_commute(self, seed):
+        # The theorem behind ``saturate``'s skips: when each of two steps,
+        # carried through the other's context map, is a match of the
+        # other's result, both orders give isomorphic results.
+        rng = random.Random(seed)
+        host = random_diagram(rng)
+        g = host.carrier
+        rules = random_rules(rng, host.arity, boxed=False)
+        for e in rng.sample(g.edges, min(3, len(g.edges))):
+            if not g.is_box(e):  # a rule that matches this edge at least
+                lhs = edge_cospan(host, e)[0]
+                rhs = random_term(rng, lhs.arity, lhs.coarity, size=rng.randint(1, 2))
+                rules.append(RewriteRule("e", lhs, interpret(rhs, BASIC)))
+        matches = [m for r in rules if not _strict_slots(r) for m in find_matches(r, host)]
+        results = [apply(m) for m in matches]
+        for (s, rs), (t, rt) in itertools.combinations(zip(matches, results), 2):
+            s2, t2 = carried(s, rt.context), carried(t, rs.context)
+            # ``saturate`` carries a step with ``_carried``.
+            for m, hom, want in ((s, rt.context, s2), (t, rs.context, t2)):
+                got = _carried((0, *as_key(m.hom.vmap, m.hom.emap)), hom.vmap, hom.emap)
+                assert got == (None if want is None else (0, *as_key(*want)))
+            if s2 is None or t2 is None:
+                continue
+            then_s = [k for k in find_matches(s.rule, rt) if (k.hom.vmap, k.hom.emap) == s2]
+            then_t = [k for k in find_matches(t.rule, rs) if (k.hom.vmap, k.hom.emap) == t2]
+            if then_s and then_t:
+                assert certificate(apply(then_s[0])) == certificate(apply(then_t[0]))
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,26 @@ class TestLongTerms:
         assert typecheck(t, BASIC) == ty
         assert print_term(t) == text
 
+    @pytest.mark.parametrize("op", [" ; ", " * "])
+    def test_chain_compares_hashes_and_reprs(self, op):
+        text = op.join(["f"] * self.N)
+        t, u = parse(text), parse(text)
+        assert t == u and hash(t) == hash(u)
+        assert t != parse(op.join(["f"] * (self.N - 1) + ["g"]))
+        assert t != parse(f"f{op}({op.join(['f'] * (self.N - 1))})")
+        name, first, second = ("Comp", "first", "second") if op == " ; " else \
+            ("Tensor", "left", "right")
+        assert repr(t) == (f"{name}({first}=" * (self.N - 1) + "Gen(name='f')"
+                           + f", {second}=Gen(name='f'))" * (self.N - 1))
+
+    def test_short_terms_keep_the_dataclass_repr(self):
+        t = parse("(f * g) ; (h + k)")
+        assert repr(t) == ("Comp(first=Tensor(left=Gen(name='f'), right=Gen(name='g')), "
+                           "second=Join(parts=(Gen(name='h'), Gen(name='k'))))")
+        assert t == Comp(Tensor(Gen("f"), Gen("g")), Join((Gen("h"), Gen("k"))))
+        assert {t: 1}[parse("(f * g) ; (h + k)")] == 1
+        assert Comp(Gen("f"), Gen("g")) != Tensor(Gen("f"), Gen("g"))
+
     def test_deep_nesting_is_a_syntax_error(self):
         with pytest.raises(TermSyntaxError, match="term nested too deeply"):
             parse("(" * 1200 + "f" + ")" * 1200)
