@@ -11,7 +11,7 @@ represents).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Hashable, Iterable, Iterator, Optional, TypeVar
+from typing import AbstractSet, Hashable, Iterable, Iterator, NamedTuple, Optional, TypeVar
 
 # An element of a graph is a tagged id: ("v", vertex_id) or ("e", edge_id).
 Element = tuple[str, int]
@@ -470,16 +470,17 @@ def _is_convex(g: EHypergraph, sub: set[Element], feeds: dict[int, list[int]]) -
     the targets of those edges through vertices outside the set comes back
     into the set exactly when ``sub`` is not convex.  ``feeds`` is
     ``_feeds(g)``, so that one index serves many candidate sets."""
-    todo = [w for k, v in sub if k == "v" for e in feeds.get(v, ())
-            if ("e", e) not in sub for w in g.target[e]]
+    vs = {v for k, v in sub if k == "v"}
+    todo = [w for v in vs for e in feeds.get(v, ()) if ("e", e) not in sub for w in g.target[e]]
     seen: set[int] = set()
     while todo:
         w = todo.pop()
-        if ("v", w) in sub:
+        if w in vs:
             return False
         if w not in seen:
             seen.add(w)
-            todo += [x for e in feeds.get(w, ()) for x in g.target[e]]
+            for e in feeds.get(w, ()):
+                todo += g.target[e]
     return True
 
 
@@ -526,26 +527,118 @@ def acyclic(nodes: Iterable[T], links: Iterable[tuple[T, T]]) -> bool:
     return seen == len(succ)
 
 
+def loose_vertices(g: EHypergraph) -> list[int]:
+    """The vertices of ``g`` that no edge touches, in vertex order."""
+    touched = {v for e in g.edges for v in g.source[e] + g.target[e]}
+    return [v for v in g.vertices if v not in touched]
+
+
+# A port: a vertex, a side (0 for an edge's sources, 1 for its targets) and
+# a position on that side.
+Port = tuple[int, int, int]
+# A step of a seeded search: a pattern edge; the port, with a pattern
+# vertex placed earlier, at which it meets an edge placed earlier, or None;
+# and whether its image must be a new host edge (True), must not be one
+# (False), or may be any edge (None).
+SearchStep = tuple[int, Optional[Port], Optional[bool]]
+
+
+def port_index(g: EHypergraph) -> dict[Port, list[int]]:
+    """The edges at each port of ``g``, in edge order."""
+    at: dict[Port, list[int]] = {}
+    for e in g.edges:
+        for k, v in enumerate(g.source[e]):
+            at.setdefault((v, 0, k), []).append(e)
+        for k, v in enumerate(g.target[e]):
+            at.setdefault((v, 1, k), []).append(e)
+    return at
+
+
+def search_orders(pat: EHypergraph) -> list[list[SearchStep]]:
+    """For each edge ``a`` of a box-free ``pat``, in id order, the steps of
+    a search seeded at ``a``: ``a`` on a new edge, then the rest of its
+    connected piece, each edge at a port it shares with one placed before;
+    then each other piece the same way from its first edge.  The edges
+    before ``a`` in id order must not lie on new edges."""
+    edges = sorted(pat.edges)
+    at: dict[int, list[tuple[int, Port]]] = {}
+    for e in edges:
+        for side, ends in enumerate((pat.source[e], pat.target[e])):
+            for k, v in enumerate(ends):
+                at.setdefault(v, []).append((e, (v, side, k)))
+    orders = []
+    for a in edges:
+        order: list[tuple[int, Optional[Port]]] = []
+        placed: set[int] = set()
+        for start in [a] + edges:
+            if start not in placed:
+                placed.add(start)
+                order.append((start, None))
+                for f, _ in order:  # visits the edges appended on the way
+                    for v in pat.endpoints(f):
+                        for e, port in at[v]:
+                            if e not in placed:
+                                placed.add(e)
+                                order.append((e, port))
+        orders.append([(e, port, True if e == a else (False if e < a else None))
+                       for e, port in order])
+    return orders
+
+
+class Seeds(NamedTuple):
+    """Where a seeded ``embeddings`` search starts: ``orders`` is the
+    pattern's ``search_orders``, ``new`` a set of host edges and ``ports``
+    the host's ``port_index``."""
+
+    orders: list[list[SearchStep]]
+    new: AbstractSet[int]
+    ports: dict[Port, list[int]]
+
+
 def embeddings(
-    pat: EHypergraph, host: EHypergraph
+    pat: EHypergraph, host: EHypergraph, seeds: Optional[Seeds] = None
 ) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
     """Yield (vertex map, edge map) pairs of injective maps from ``pat`` into
     ``host`` that preserve labels, ordered endpoints, immediate parents and
     consistency components.
 
     Top-level pattern elements may land inside host boxes, and several
-    pattern components may land in one host component.
+    pattern components may land in one host component.  The search places
+    the pattern edges outermost first, then by id, each on the host edges
+    in edge order, and then the vertices that no edge touches.
+
+    With ``seeds``, for a box-free pattern, only the maps that put some
+    pattern edge on an edge of ``seeds.new`` are yielded, each once: from
+    the first pattern edge, in id order, that lies on a new edge.  For each
+    pattern edge and each new host edge it can lie on, the search grows
+    the map along wires in the edge's ``search_orders``: an edge that
+    meets a placed one at a port takes its candidates from the host edges
+    at the image of that port, and only the first edge of another
+    connected piece is tried on every host edge.
     """
 
     def ekey(g: EHypergraph, e: int) -> tuple:
         return (g.label[e], len(g.source[e]), len(g.target[e]))
 
-    # Edges outermost first, so a parent box is mapped before its children.
-    edges = sorted(pat.edges, key=lambda e: (pat.depth(("e", e)), e))
-    edge_keys = [ekey(pat, e) for e in edges]
-    by_key: dict[tuple, list[int]] = {}
-    for e in host.edges:
-        by_key.setdefault(ekey(host, e), []).append(e)
+    keyed: dict[tuple, list[int]] = {}
+
+    def by_key(want: tuple) -> list[int]:
+        """The host edges with ``want``'s label and arities, in edge order."""
+        if not keyed:
+            for e in host.edges:
+                keyed.setdefault(ekey(host, e), []).append(e)
+        return keyed.get(want, [])
+
+    def candidates(a: int, via: Optional[Port], new: Optional[bool]) -> list[int]:
+        want = ekey(pat, a)
+        if new:
+            return [b for b in sorted(seeds.new) if ekey(host, b) == want]
+        if via is None:
+            bs = by_key(want)
+        else:
+            v, side, k = via
+            bs = [b for b in seeds.ports.get((vmap[v], side, k), ()) if ekey(host, b) == want]
+        return bs if new is None else [b for b in bs if b not in seeds.new]
 
     vmap: dict[int, int] = {}
     emap: dict[int, int] = {}
@@ -555,9 +648,8 @@ def embeddings(
     comps: dict[tuple[int, int], int] = {}
 
     def try_place(pp, pc, hp, hc, undo: list) -> bool:
-        """Parent and component of a pattern element against a host candidate."""
-        if pp is None:
-            return True
+        """Parent and component of a nested pattern element against a host
+        candidate."""
         if hp is None or emap.get(pp) != hp:
             return False
         key = (pp, pc)
@@ -572,10 +664,9 @@ def embeddings(
             return vmap[va] == vb
         if vb in used_v:
             return False
-        if not try_place(
-            pat.vparent.get(va), pat.vcomp.get(va),
-            host.vparent.get(vb), host.vcomp.get(vb), undo,
-        ):
+        pp = pat.vparent.get(va)
+        if pp is not None and not try_place(pp, pat.vcomp[va], host.vparent.get(vb),
+                                            host.vcomp.get(vb), undo):
             return False
         vmap[va] = vb
         used_v.add(vb)
@@ -585,18 +676,17 @@ def embeddings(
     def try_edge(ea: int, eb: int, undo: list) -> bool:
         if eb in used_e:
             return False
-        if not try_place(
-            pat.eparent.get(ea), pat.ecomp.get(ea),
-            host.eparent.get(eb), host.ecomp.get(eb), undo,
-        ):
+        pp = pat.eparent.get(ea)
+        if pp is not None and not try_place(pp, pat.ecomp[ea], host.eparent.get(eb),
+                                            host.ecomp.get(eb), undo):
             return False
         emap[ea] = eb
         used_e.add(eb)
         undo.append(("e", ea, eb))
-        return all(
-            try_vertex(va, vb, undo)
-            for va, vb in zip(pat.endpoints(ea), host.endpoints(eb))
-        )
+        for va, vb in zip(pat.source[ea] + pat.target[ea], host.source[eb] + host.target[eb]):
+            if not try_vertex(va, vb, undo):
+                return False
+        return True
 
     def undo_all(undo: list) -> None:
         for kind, a, b in reversed(undo):
@@ -610,24 +700,32 @@ def embeddings(
                 del comps[a]
 
     # After the edges, the vertices that no edge reaches.
-    touched = set().union(*(pat.endpoints(e) for e in edges))
-    loose = [v for v in pat.vertices if v not in touched]
+    loose = loose_vertices(pat)
 
-    def search(i: int) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
-        if i == len(edges) + len(loose):
+    # Every plan places every edge.
+    placed, end = len(pat.edges), len(pat.edges) + len(loose)
+
+    def search(plan: list[SearchStep], i: int) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
+        if i == end:
             yield dict(vmap), dict(emap)
             return
-        if i < len(edges):
-            a, cands, attempt = edges[i], by_key.get(edge_keys[i], ()), try_edge
+        if i < placed:
+            a, cands, attempt = plan[i][0], candidates(*plan[i]), try_edge
         else:
-            a, cands, attempt = loose[i - len(edges)], host.vertices, try_vertex
+            a, cands, attempt = loose[i - placed], host.vertices, try_vertex
         for b in cands:
             undo: list = []
             if attempt(a, b, undo):
-                yield from search(i + 1)
+                yield from search(plan, i + 1)
             undo_all(undo)
 
-    yield from search(0)
+    if seeds is not None:
+        for plan in seeds.orders:
+            yield from search(plan, 0)
+        return
+    # Edges outermost first, so a parent box is mapped before its children.
+    edges = sorted(pat.edges, key=lambda e: (pat.depth(("e", e)), e))
+    yield from search([(e, None, None) for e in edges], 0)
 
 
 @dataclass

@@ -1,11 +1,12 @@
 """Digest every benchmark pool job's outputs, to compare two checkouts.
 
-    python3 tools/pool_digest.py
+    python3 tools/pool_digest.py [--workload NAME]... [--seed N]...
 
 Runs every job of the pools of the four ``perfbench`` workloads, for seeds
 1 and 2, through the benchmark's own ``setup`` and ``Workload.run``, in a
-temporary work directory.  It prints one line per workload and seed with
-two digests of the outputs, job by job:
+temporary work directory; ``--workload`` and ``--seed``, each of which may
+be repeated, run only the workloads and seeds they name.  It prints one line
+per workload and seed with two digests of the outputs, job by job:
 
 - ``raw``: the output texts as the pipeline wrote them.
 - ``cert``: the same, with each diagram document replaced by the
@@ -19,6 +20,7 @@ program is imported from ``src/`` of the checkout that holds this file.
 
 from __future__ import annotations
 
+import argparse
 import hashlib
 import importlib
 import os
@@ -64,9 +66,15 @@ def digests(wl, seed: int, work: str) -> tuple[str, str, int]:
 
 
 def main() -> int:
+    ap = argparse.ArgumentParser(description="Digest the benchmark pools' outputs.")
+    ap.add_argument("--workload", action="append", choices=sorted(WORKLOADS),
+                    help="a workload to run (default: all)")
+    ap.add_argument("--seed", action="append", type=int, help="a pool seed (default: 1 and 2)")
+    args = ap.parse_args()
+    names = args.workload or list(WORKLOADS)
     with tempfile.TemporaryDirectory() as tmp:
-        for wl in WORKLOADS.values():
-            for seed in SEEDS:
+        for wl in (WORKLOADS[name] for name in names):
+            for seed in args.seed or SEEDS:
                 r, c, n = digests(wl, seed, os.path.join(tmp, f"{wl.name}-{seed}"))
                 print(f"{wl.name:<16} seed {seed}  jobs {n:>4}  raw {r}  cert {c}", flush=True)
     return 0
