@@ -7,14 +7,14 @@ every multi-node class becomes a hierarchical edge with one component per
 node, sharing is realized with left-leaning chains of "dup", and each
 component discards the input slots belonging to its sibling nodes with
 "del".  ``replay`` expresses one e-graph rewrite (add + merge + upward
-merging) as a sequence of double-pushout steps on the translated cospan.
+merging) as one double-pushout step on the translated cospan, which
+rewrites the region whose rendering the e-graph rewrite changed.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .core import (
     COPY,
@@ -29,15 +29,8 @@ from .core import (
 )
 from . import cospan as cs
 from .cospan import ExtendedCospan
-from .rewrite import (
-    Match,
-    RewriteRule,
-    apply,
-    edge_cospan,
-    extract_subdiagram,
-    find_matches,
-)
-from .term import Term, interpret, typecheck
+from .rewrite import Match, RewriteRule, apply, extract_subdiagram
+from .term import Term, typecheck
 
 
 class EGraphError(Exception):
@@ -45,7 +38,7 @@ class EGraphError(Exception):
 
 
 class ReplayIncomplete(Exception):
-    """The scripted replay strategy could not reach the target graph."""
+    """The changed-region step could not reach the target graph."""
 
 
 @dataclass(frozen=True)
@@ -359,200 +352,6 @@ class ReplayResult:
     result: ExtendedCospan
 
 
-def _top_level_producers(c: ExtendedCospan) -> list[int]:
-    """Top-level edges/boxes with no inputs and one output."""
-    g = c.carrier
-    return [
-        e
-        for e in g.edges
-        if g.eparent.get(e) is None
-        and not g.source[e]
-        and len(g.target[e]) == 1
-    ]
-
-
-def _apply_step(
-    steps: list[ReplayStep],
-    description: str,
-    host: ExtendedCospan,
-    lhs_elements: set[Element],
-    ext_in_vs: Sequence[int],
-    ext_out_vs: Sequence[int],
-    rhs: ExtendedCospan,
-) -> ExtendedCospan:
-    lhs, hom = extract_subdiagram(host, lhs_elements, ext_in_vs, ext_out_vs)
-    rule = RewriteRule(description, lhs, rhs)
-    result = apply(Match(rule=rule, hom=hom, host=host))
-    steps.append(ReplayStep(description, rule, result))
-    return result
-
-
-def _duplicate_cospan(part: ExtendedCospan) -> ExtendedCospan:
-    """A box holding two copies of ``part`` (idempotence, read backwards)."""
-    return cs.join_raw([part.copy(), part.copy()])
-
-
-def _share_producers_step(
-    steps: list[ReplayStep], host: ExtendedCospan, dup_gen
-) -> Optional[ExtendedCospan]:
-    """Merge two isomorphic input-free producers into one shared via a copy."""
-    g = host.carrier
-    ext_outs = set(host.ext_out_vertices())
-    prods = [e for e in _top_level_producers(host) if g.target[e][0] not in ext_outs]
-    subs = [edge_cospan(host, e) for e in prods]
-    # The first isomorphic pair in ``itertools.combinations`` order.
-    pair = next((ix for ix in cs.iso_classes([p for p, _, _ in subs]) if len(ix) > 1), None)
-    if pair is None:
-        return None
-    i, j = pair[:2]
-    rhs = cs.compose(subs[i][0].copy(), cs.generator_cospan(dup_gen))
-    return _apply_step(
-        steps, "share duplicate producer", host, subs[i][2] | subs[j][2], [],
-        [g.target[prods[i]][0], g.target[prods[j]][0]], rhs,
-    )
-
-
-def _merge_congruent_edges_step(
-    steps: list[ReplayStep], host: ExtendedCospan, sig: Signature
-) -> Optional[ExtendedCospan]:
-    """Merge two same-label edges whose inputs are copies of the same wires
-    (naturality of copy, read backwards)."""
-    g = host.carrier
-    ext_outs = set(host.ext_out_vertices())
-    tops = [
-        e
-        for e in g.edges
-        if g.eparent.get(e) is None
-        and g.label[e] not in (None, COPY, DISCARD)
-        and g.source[e]
-        and len(g.target[e]) == 1
-    ]
-    for e1, e2 in itertools.combinations(tops, 2):
-        if g.label[e1] != g.label[e2]:
-            continue
-        w1, w2 = g.target[e1][0], g.target[e2][0]
-        if w1 in ext_outs or w2 in ext_outs:
-            continue
-        dups = []
-        ok = True
-        for s1, s2 in zip(g.source[e1], g.source[e2]):
-            d = next(
-                (
-                    d
-                    for d in g.edges
-                    if g.label[d] == COPY and set(g.target[d]) == {s1, s2}
-                ),
-                None,
-            )
-            if d is None or s1 == s2:
-                ok = False
-                break
-            dups.append(d)
-        if not ok or len(set(dups)) != len(dups):
-            continue
-        elements: set[Element] = {("e", e1), ("e", e2)}
-        for d in dups:
-            elements.add(("e", d))
-            elements.update(("v", v) for v in g.endpoints(d))
-        elements.update(("v", v) for v in g.endpoints(e1))
-        elements.update(("v", v) for v in g.endpoints(e2))
-        rhs = cs.compose(
-            cs.generator_cospan(sig[g.label[e1]]), cs.generator_cospan(sig[COPY])
-        )
-        return _apply_step(
-            steps,
-            f"share duplicate {g.label[e1]} application",
-            host,
-            elements,
-            [g.source[d][0] for d in dups],
-            [w1, w2],
-            rhs,
-        )
-    return None
-
-
-RESHARE_BUDGET = 64
-
-
-def _reshare_fixpoint(
-    steps: list[ReplayStep], host: ExtendedCospan, sig: Signature
-) -> ExtendedCospan:
-    for _ in range(RESHARE_BUDGET):
-        nxt = _share_producers_step(steps, host, sig[COPY])
-        if nxt is None:
-            nxt = _merge_congruent_edges_step(steps, host, sig)
-        if nxt is None:
-            return host
-        host = nxt
-    raise ReplayIncomplete("sharing fixpoint not reached within budget")
-
-
-def _find_producer_iso(
-    host: ExtendedCospan, pattern: ExtendedCospan
-) -> Optional[tuple[int, set[Element], ExtendedCospan]]:
-    form = cs.canonical(pattern)
-    for e in _top_level_producers(host):
-        sub, _, elements = edge_cospan(host, e)
-        sub_form = cs.canonical(sub)
-        if sub_form.cert == form.cert and cs.iso(sub, pattern, sub_form, form) is not None:
-            return e, elements, sub
-    return None
-
-
-def _apply_rule_inside_box(
-    steps: list[ReplayStep],
-    host: ExtendedCospan,
-    rule: RewriteRule,
-    box_pattern: ExtendedCospan,
-) -> ExtendedCospan:
-    """Apply ``rule`` to a match nested inside the box isomorphic to
-    ``box_pattern``; exactly one component is rewritten."""
-    found = _find_producer_iso(host, box_pattern)
-    if found is None:
-        raise ReplayIncomplete("expanded alternative box not found")
-    box = found[0]
-    g = host.carrier
-    for m in find_matches(rule, host):
-        img_edges = set(m.hom.emap.values())
-        if img_edges and all(g.eparent.get(e) == box for e in img_edges):
-            result = apply(m)
-            steps.append(ReplayStep(f"apply {rule.name} inside alternatives", rule, result))
-            return result
-    raise ReplayIncomplete(f"no nested match for {rule.name}")
-
-
-def _replay_leaf_merge(
-    steps: list[ReplayStep],
-    cur: ExtendedCospan,
-    lhs_t: Term,
-    rhs_t: Term,
-    sig: Signature,
-) -> ExtendedCospan:
-    """Merge of two existing input-free producers, per the five-stage recipe:
-    duplicate each side (idempotence backwards), rewrite one copy in each box
-    with the rule and its inverse, then re-share the now-isomorphic halves."""
-    lc, rc = interpret(lhs_t, sig), interpret(rhs_t, sig)
-    rule = RewriteRule("theory", lc, rc)
-    for pat in (lc, rc):
-        found = _find_producer_iso(cur, pat)
-        if found is None:
-            raise ReplayIncomplete("producer for rule side not found")
-        e, elements, sub = found
-        g = cur.carrier
-        cur = _apply_step(
-            steps,
-            "duplicate alternative",
-            cur,
-            elements,
-            list(g.source[e]),
-            list(g.target[e]),
-            _duplicate_cospan(sub),
-        )
-    cur = _apply_rule_inside_box(steps, cur, rule, _duplicate_cospan(lc))
-    cur = _apply_rule_inside_box(steps, cur, rule.reversed(), _duplicate_cospan(rc))
-    return _reshare_fixpoint(steps, cur, sig)
-
-
 def _convex_hull(g: EHypergraph, elements: set[Element]) -> set[Element]:
     """Grow an element set until every directed path between its top-level
     vertices stays inside it (adding whole hierarchical edges as needed)."""
@@ -636,18 +435,18 @@ def _mapped_uses(
 
 
 def _replay_diff_composite(
-    steps: list[ReplayStep],
     before: tuple[ExtendedCospan, _Layout],
     after: tuple[ExtendedCospan, _Layout],
     cmap: dict[int, int],
-    groups: dict[int, list[int]],
-) -> ExtendedCospan:
+) -> ReplayStep:
     """One composite step rewriting exactly the region of the rendered graph
-    that the e-graph transformation touched, convex-closed in the host.
-    ``groups`` lists the ``before`` classes that ``cmap`` sends to each
-    ``after`` class."""
+    that the e-graph transformation touched, convex-closed in the host;
+    ``cmap`` sends each ``before`` class to its ``after`` class."""
     (rb, lb), (ra, la) = before, after
     gb, ga = rb.carrier, ra.carrier
+    groups: dict[int, list[int]] = {}
+    for b in lb.nodes:
+        groups.setdefault(cmap[b], []).append(b)
 
     # Element correspondence for classes whose rendering is unaffected.
     ub = _mapped_uses(lb.nodes, cmap)
@@ -712,15 +511,9 @@ def _replay_diff_composite(
     if set(ins_a) != set(check_ins) or set(outs_a) != set(check_outs):
         raise ReplayIncomplete("region boundaries do not correspond")
     rhs, _ = extract_subdiagram(ra, region_a, ins_a, outs_a)
-    return _apply_step(
-        steps,
-        "rewrite changed region",
-        rb,
-        region_b,
-        ins_b,
-        outs_b,
-        rhs,
-    )
+    lhs, hom = extract_subdiagram(rb, region_b, ins_b, outs_b)
+    rule = RewriteRule("rewrite changed region", lhs, rhs)
+    return ReplayStep(rule.name, rule, apply(Match(rule=rule, hom=hom, host=rb)))
 
 
 def replay(
@@ -728,37 +521,24 @@ def replay(
 ) -> ReplayResult:
     """Express ``before`` ~> ``after`` as double-pushout steps on cospans.
 
-    Returns the step sequence together with the final cospan, which is
-    isomorphic to ``translate(after, sig)``; raises :class:`ReplayIncomplete`
-    when the scripted strategy cannot bridge the two graphs.
+    The rule's two sides must have one type.  Returns the step sequence
+    together with the final cospan, which is isomorphic to
+    ``translate(after, sig)``: no step when the two renderings are already
+    isomorphic, otherwise one step that rewrites the changed region.  Raises
+    :class:`ReplayIncomplete` when that region cannot be matched up.
     """
-    steps: list[ReplayStep] = []
+    tl, tr = typecheck(rule[0], sig), typecheck(rule[1], sig)
+    if tl != tr:
+        raise EGraphError(
+            f"rule sides have types {tl.dom}->{tl.cod} and {tr.dom}->{tr.cod}"
+        )
     rb, lb = _render(before, sig)
     ra, la = _render(after, sig)
     target = cs.canonical(ra)
     if cs.iso(rb, ra, None, target) is not None:
         return ReplayResult([], rb)
 
-    cmap = _class_map(lb.nodes, after)
-    groups: dict[int, list[int]] = {}
-    for b in lb.nodes:
-        groups.setdefault(cmap[b], []).append(b)
-    changed = [
-        gamma
-        for gamma, members in groups.items()
-        if len(members) > 1
-        or {_mapped(n, cmap) for n in lb.nodes[members[0]]} != set(la.nodes[gamma])
-    ]
-    fresh = [c for c in la.nodes if c not in groups]
-
-    rule_closed = typecheck(rule[0], sig).dom == 0
-    if not fresh and rule_closed and any(len(groups[c]) == 2 for c in changed):
-        # A merge of two existing input-free producers; upward merging is
-        # absorbed by the sharing fixpoint at the end of the recipe.
-        cur = _replay_leaf_merge(steps, rb, rule[0], rule[1], sig)
-    else:
-        cur = _replay_diff_composite(steps, (rb, lb), (ra, la), cmap, groups)
-
-    if cs.iso(cur, ra, None, target) is None:
+    step = _replay_diff_composite((rb, lb), (ra, la), _class_map(lb.nodes, after))
+    if cs.iso(step.result, ra, None, target) is None:
         raise ReplayIncomplete("replayed result differs from the target graph")
-    return ReplayResult(steps, cur)
+    return ReplayResult([step], step.result)

@@ -57,19 +57,23 @@ DEFAULT_COST = Fraction(1)
 
 @dataclass
 class CostModel:
-    """Cost per generator label; a label with no entry costs ``DEFAULT_COST``."""
+    """Cost per generator label; a label with no entry costs ``DEFAULT_COST``.
+    Every cost is checked to be non-negative when the model is built."""
 
     costs: dict[str, Fraction] = field(default_factory=dict)
 
+    def __post_init__(self) -> None:
+        bad = next((label for label, c in self.costs.items() if c < 0), None)
+        if bad is not None:
+            raise EngineError(f"negative cost for {bad!r}")
+
     def cost(self, label: str) -> Fraction:
-        c = self.costs.get(label, DEFAULT_COST)
-        if c < 0:
-            raise EngineError(f"negative cost for {label!r}")
-        return c
+        return self.costs.get(label, DEFAULT_COST)
 
 
 def parse_costs(text: str) -> CostModel:
-    """Parse ``name = cost`` lines; '#' starts a comment."""
+    """Parse ``name = cost`` lines; '#' starts a comment.  A line with an
+    empty name or a negative cost is rejected with its line number."""
     costs: dict[str, Fraction] = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -78,10 +82,14 @@ def parse_costs(text: str) -> CostModel:
         if "=" not in line:
             raise EngineError(f"cost line {lineno}: cannot parse {raw!r}")
         name, val = (part.strip() for part in line.split("=", 1))
+        if not name:
+            raise EngineError(f"cost line {lineno}: empty name")
         try:
             costs[name] = Fraction(val)
         except (ValueError, ZeroDivisionError) as exc:
             raise EngineError(f"cost line {lineno}: {exc}") from exc
+        if costs[name] < 0:
+            raise EngineError(f"cost line {lineno}: negative cost for {name!r}")
     return CostModel(costs)
 
 

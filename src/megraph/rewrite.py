@@ -522,16 +522,12 @@ def component_cospan(host: ExtendedCospan, box: int, comp: int) -> ExtendedCospa
     return cospan
 
 
-def edge_cospan(
-    host: ExtendedCospan, e: int
-) -> tuple[ExtendedCospan, EHomomorphism, set[Element]]:
+def edge_cospan(host: ExtendedCospan, e: int) -> tuple[ExtendedCospan, EHomomorphism]:
     """Edge ``e`` with everything nested in it, as a cospan whose external
     interface is ``e``'s sources and targets; with its embedding into the
-    host carrier and the host elements it covers."""
+    host carrier."""
     g = host.carrier
-    elements = down_closure(g, [e])
-    cospan, hom = extract_subdiagram(host, elements, g.source[e], g.target[e])
-    return cospan, hom, elements
+    return extract_subdiagram(host, down_closure(g, [e]), g.source[e], g.target[e])
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +600,8 @@ class StructuralSchema:
 
 
 def _sibling_match(
-    host: ExtendedCospan, elements: set[Element], lhs: ExtendedCospan,
-    hom: EHomomorphism, rhs: ExtendedCospan, schema: str, name: str,
+    host: ExtendedCospan, lhs: ExtendedCospan, hom: EHomomorphism,
+    rhs: ExtendedCospan, schema: str, name: str,
 ) -> Optional[tuple[StructuralSchema, Match]]:
     """The instance of a schema on a convex region of the host."""
     try:
@@ -650,7 +646,7 @@ def _dist_instance(
     )
     lbox = next(x for x, y in hom.emap.items() if y == box)
     rhs = join_raw([choose(lhs, lbox, k) for k in lhs.carrier.alternatives(lbox)])
-    return _sibling_match(host, elements, lhs, hom, rhs, schema, f"dist-{schema}")
+    return _sibling_match(host, lhs, hom, rhs, schema, f"dist-{schema}")
 
 
 def _flatten_instance(
@@ -663,11 +659,11 @@ def _flatten_instance(
     alternatives = hg.alternatives(outer)
     if set(alternatives[comp]) != {("e", inner)} | {("v", v) for v in hg.endpoints(inner)}:
         return None
-    lhs, hom, elements = edge_cospan(host, outer)
+    lhs, hom = edge_cospan(host, outer)
     parts = components(lhs)
     i = list(alternatives).index(comp)
     rhs = join_raw(parts[:i] + components(parts[i]) + parts[i + 1:])
-    return _sibling_match(host, elements, lhs, hom, rhs, "Flatten", "flatten")
+    return _sibling_match(host, lhs, hom, rhs, "Flatten", "flatten")
 
 
 def _idem_instance(
@@ -680,12 +676,11 @@ def _idem_instance(
     dup = next((ix for ix in iso_classes(parts) if len(ix) > 1), None)
     if dup is None:
         return None
-    lhs, hom, elements = edge_cospan(host, box)
+    lhs, hom = edge_cospan(host, box)
     if len(parts) >= 3:
         rhs = join_raw([p for i, p in enumerate(parts) if i != dup[1]])
-        return _sibling_match(host, elements, lhs, hom, rhs, "Idem", "idem")
-    return _sibling_match(host, elements, lhs, hom, parts[dup[0]], "Singleton-absorb",
-                          "singleton")
+        return _sibling_match(host, lhs, hom, rhs, "Idem", "idem")
+    return _sibling_match(host, lhs, hom, parts[dup[0]], "Singleton-absorb", "singleton")
 
 
 def structural_matches(

@@ -183,6 +183,20 @@ class TestNormalizeExtractSaturate:
         assert res.exit_code == 0
         assert res.stdout.strip() == "f ; g"
 
+    @pytest.mark.parametrize("diagram", ["f + g", "f ; g"])
+    @pytest.mark.parametrize("line, message", [
+        ("f = -1", "cost line 2: negative cost for 'f'"),
+        ("zzz = -1", "cost line 2: negative cost for 'zzz'"),
+        (" = 3", "cost line 2: empty name"),
+    ])
+    def test_extract_rejects_bad_cost_lines(self, tmp_path, diagram, line, message):
+        path = write_graph(tmp_path, interp(diagram))
+        costs = tmp_path / "costs.txt"
+        costs.write_text(f"g = 2\n{line}\n")
+        res = RUNNER.invoke(main, ["extract", str(path), "--costs", str(costs)])
+        assert res.exit_code == 1
+        assert message in res.stderr
+
     def test_extract_default_costs(self, tmp_path):
         path = write_graph(tmp_path, interp("(f ; g) + h"))
         res = RUNNER.invoke(main, ["extract", path])

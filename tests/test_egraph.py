@@ -18,7 +18,7 @@ from megraph.egraph import (
     translate,
 )
 from megraph.serialize import loads_egraph
-from megraph.term import parse
+from megraph.term import TermTypeError, parse
 
 from .fixtures import (
     expected_stage_b,
@@ -151,13 +151,10 @@ class TestReplay:
         res = replay(eg1, r2, eg2, ARITH)
         assert iso(res.result, translate(eg2, ARITH)) is not None
 
-    def test_leaf_merge_five_stage_recipe(self):
+    def test_leaf_merge_is_one_changed_region_step(self):
         before, after = leaf_merge_egraphs()
         res = replay(before, leaf_merge_rule(), after, FIG14)
-        descriptions = [s.description for s in res.steps]
-        assert descriptions[:2] == ["duplicate alternative", "duplicate alternative"]
-        assert any("apply theory" in d for d in descriptions)
-        assert any("share duplicate" in d for d in descriptions)
+        assert [s.description for s in res.steps] == ["rewrite changed region"]
         assert iso(res.result, translate(after, FIG14)) is not None
 
     def test_merge_of_two_existing_classes_from_documents(self):
@@ -205,6 +202,16 @@ class TestReplay:
         res = replay(*args)
         assert renders == [args[0], args[2]]
         assert (res.steps == []) == (case == "noop")
+
+    def test_rule_sides_of_different_types_are_rejected(self):
+        before, _ = egraph_of_term_tree(("mul", "a", "two"))
+        with pytest.raises(EGraphError, match="0->1 and 2->1"):
+            replay(before, (parse("a"), parse("mul")), before.copy(), ARITH)
+
+    def test_ill_typed_rule_side_is_rejected(self):
+        before, _ = egraph_of_term_tree(("mul", "a", "two"))
+        with pytest.raises(TermTypeError):
+            replay(before, (parse("a"), parse("a ; mul")), before.copy(), ARITH)
 
     def test_class_without_counterpart_is_reported(self):
         before, _ = egraph_of_term_tree(("mul", "a", "two"))

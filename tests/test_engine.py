@@ -319,3 +319,7 @@ class TestRuleAndCostFiles:
         assert m.cost("f") == 2
         assert m.cost("g") * 2 == 1
         assert m.cost("unlisted") == 1
+
+    def test_cost_model_rejects_a_negative_cost_when_built(self):
+        with pytest.raises(EngineError, match="negative cost for 'f'"):
+            CostModel({"g": Fraction(1), "f": Fraction(-1)})

@@ -38,7 +38,7 @@ from megraph.cospan import (
     tensor,
     validate_cospan,
 )
-from megraph.egraph import EGraph, ENode
+from megraph.egraph import EGraph, EGraphError, ENode, replay, translate
 from megraph.engine import (
     CostModel,
     Strategy,
@@ -1314,3 +1314,82 @@ class TestOnePassMapChecksAgainstOracles:
         left, right = random_gluing(random.Random(seed))
         assert check_pushout_preconditions(left, right) == \
             pushout_preconditions_oracle(left, right)
+
+
+# ---------------------------------------------------------------------------
+# Replay of e-graph merges
+# ---------------------------------------------------------------------------
+
+MERGES = parse_signature(
+    "a: 0 -> 1\nb: 0 -> 1\nc: 0 -> 1\ng: 1 -> 1\nf: 2 -> 1\nplus: 2 -> 1\n", cartesian=True)
+REPLAY = settings(max_examples=200, deadline=None)
+
+
+def merge_tree(rng, depth=4):
+    """A random term tree of depth at most ``depth`` over ``MERGES``."""
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice("abc")
+    head = rng.choice(["g", "f", "plus"])
+    return (head, *(merge_tree(rng, depth - 1) for _ in range(1 if head == "g" else 2)))
+
+
+def tree_term(t):
+    """The closed term of a tree: its children side by side, then its head."""
+    if isinstance(t, str):
+        return Gen(t)
+    head, *kids = t
+    ins = tree_term(kids[0]) if len(kids) == 1 else Tensor(tree_term(kids[0]), tree_term(kids[1]))
+    return Comp(ins, Gen(head))
+
+
+def merge_case(rng, leaves):
+    """(before, rule, after) for a random tree's e-graph and a merge of two of
+    its classes: those of ``b`` and ``c`` under the rule ``(b, c)`` when
+    ``leaves``, else two random classes under the rule of their subtrees;
+    None when the tree has no two such classes."""
+    t = merge_tree(rng)
+    before = EGraph()
+    subtree = {}
+
+    def go(t):
+        kids = () if isinstance(t, str) else tuple(go(k) for k in t[1:])
+        cid = before.add(ENode(t if isinstance(t, str) else t[0], kids))
+        subtree.setdefault(cid, t)
+        return cid
+
+    go(t)
+    if leaves:
+        pair = [c for c, u in subtree.items() if u in ("b", "c")]
+    else:
+        pair = rng.sample(sorted(subtree), 2) if len(subtree) > 1 else []
+    if len(pair) != 2:
+        return None
+    after = before.copy()
+    after.merge(*pair)
+    return before, (tree_term(subtree[pair[0]]), tree_term(subtree[pair[1]])), after
+
+
+class TestReplayIsTotalOnAcyclicMerges:
+    def check(self, case):
+        if case is None:
+            return
+        before, rule, after = case
+        try:
+            target = translate(after, MERGES)
+        except EGraphError:  # the merge made the e-graph cyclic
+            return
+        res = replay(before, rule, after, MERGES)
+        assert iso(res.result, target) is not None
+        for step in res.steps:
+            assert validate_cospan(step.result) == []
+            assert is_mda_well_typed(step.result) == []
+
+    @given(seeds)
+    @REPLAY
+    def test_merges_of_two_leaves(self, seed):
+        self.check(merge_case(random.Random(seed), leaves=True))
+
+    @given(seeds)
+    @REPLAY
+    def test_merges_of_two_subterm_classes(self, seed):
+        self.check(merge_case(random.Random(seed), leaves=False))

@@ -1,5 +1,6 @@
-"""Source hygiene of ``src/megraph``: no unused imports, and no function,
-class or method that only tests could call."""
+"""Source hygiene of ``src/megraph``: no unused imports, no function, class
+or method that only tests could call, and no parameter that its function
+never reads."""
 
 import ast
 from collections import Counter
@@ -109,9 +110,31 @@ def unreferenced(modules, exempt):
     return out
 
 
+def unread_parameters(modules):
+    """``module: function: parameter`` for each parameter that its function's
+    body never reads; ``self``, ``cls`` and ``_``-prefixed names are exempt."""
+    out = []
+    for mod, tree in modules.items():
+        for qualname, node in definitions(tree):
+            if isinstance(node, ast.ClassDef):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                      + [args.vararg, args.kwarg] if a is not None]
+            read = {n.id for stmt in node.body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+            out.extend(f"{mod}: {qualname}: {p}" for p in params
+                       if p not in read and p not in ("self", "cls") and not p.startswith("_"))
+    return out
+
+
 def test_no_unused_imports():
     assert unused_imports(parse_modules(), megraph.__all__) == []
 
 
 def test_every_definition_is_used_by_the_program_or_a_user_entry_point():
     assert unreferenced(parse_modules(), set(megraph.__all__) | ENTRY_POINTS) == []
+
+
+def test_every_parameter_is_read():
+    assert unread_parameters(parse_modules()) == []
