@@ -11,7 +11,7 @@ represents).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import AbstractSet, Hashable, Iterable, Iterator, NamedTuple, Optional, TypeVar
+from typing import Hashable, Iterable, Iterator, Optional, TypeVar
 
 # An element of a graph is a tagged id: ("v", vertex_id) or ("e", edge_id).
 Element = tuple[str, int]
@@ -527,76 +527,8 @@ def acyclic(nodes: Iterable[T], links: Iterable[tuple[T, T]]) -> bool:
     return seen == len(succ)
 
 
-def loose_vertices(g: EHypergraph) -> list[int]:
-    """The vertices of ``g`` that no edge touches, in vertex order."""
-    touched = {v for e in g.edges for v in g.source[e] + g.target[e]}
-    return [v for v in g.vertices if v not in touched]
-
-
-# A port: a vertex, a side (0 for an edge's sources, 1 for its targets) and
-# a position on that side.
-Port = tuple[int, int, int]
-# A step of a seeded search: a pattern edge; the port, with a pattern
-# vertex placed earlier, at which it meets an edge placed earlier, or None;
-# and whether its image must be a new host edge (True), must not be one
-# (False), or may be any edge (None).
-SearchStep = tuple[int, Optional[Port], Optional[bool]]
-
-
-def port_index(g: EHypergraph) -> dict[Port, list[int]]:
-    """The edges at each port of ``g``, in edge order."""
-    at: dict[Port, list[int]] = {}
-    for e in g.edges:
-        for k, v in enumerate(g.source[e]):
-            at.setdefault((v, 0, k), []).append(e)
-        for k, v in enumerate(g.target[e]):
-            at.setdefault((v, 1, k), []).append(e)
-    return at
-
-
-def search_orders(pat: EHypergraph) -> list[list[SearchStep]]:
-    """For each edge ``a`` of a box-free ``pat``, in id order, the steps of
-    a search seeded at ``a``: ``a`` on a new edge, then the rest of its
-    connected piece, each edge at a port it shares with one placed before;
-    then each other piece the same way from its first edge.  The edges
-    before ``a`` in id order must not lie on new edges."""
-    edges = sorted(pat.edges)
-    at: dict[int, list[tuple[int, Port]]] = {}
-    for e in edges:
-        for side, ends in enumerate((pat.source[e], pat.target[e])):
-            for k, v in enumerate(ends):
-                at.setdefault(v, []).append((e, (v, side, k)))
-    orders = []
-    for a in edges:
-        order: list[tuple[int, Optional[Port]]] = []
-        placed: set[int] = set()
-        for start in [a] + edges:
-            if start not in placed:
-                placed.add(start)
-                order.append((start, None))
-                for f, _ in order:  # visits the edges appended on the way
-                    for v in pat.endpoints(f):
-                        for e, port in at[v]:
-                            if e not in placed:
-                                placed.add(e)
-                                order.append((e, port))
-        orders.append([(e, port, True if e == a else (False if e < a else None))
-                       for e, port in order])
-    return orders
-
-
-class Seeds(NamedTuple):
-    """Where a seeded ``embeddings`` search starts: ``orders`` is the
-    pattern's ``search_orders``, ``new`` a set of host edges and ``ports``
-    the host's ``port_index``."""
-
-    orders: list[list[SearchStep]]
-    new: AbstractSet[int]
-    ports: dict[Port, list[int]]
-
-
 def embeddings(
-    pat: EHypergraph, host: EHypergraph, seeds: Optional[Seeds] = None
+    pat: EHypergraph, host: EHypergraph
 ) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
     """Yield (vertex map, edge map) pairs of injective maps from ``pat`` into
     ``host`` that preserve labels, ordered endpoints, immediate parents and
@@ -606,39 +538,17 @@ def embeddings(
     pattern components may land in one host component.  The search places
     the pattern edges outermost first, then by id, each on the host edges
     in edge order, and then the vertices that no edge touches.
-
-    With ``seeds``, for a box-free pattern, only the maps that put some
-    pattern edge on an edge of ``seeds.new`` are yielded, each once: from
-    the first pattern edge, in id order, that lies on a new edge.  For each
-    pattern edge and each new host edge it can lie on, the search grows
-    the map along wires in the edge's ``search_orders``: an edge that
-    meets a placed one at a port takes its candidates from the host edges
-    at the image of that port, and only the first edge of another
-    connected piece is tried on every host edge.
     """
 
     def ekey(g: EHypergraph, e: int) -> tuple:
         return (g.label[e], len(g.source[e]), len(g.target[e]))
 
-    keyed: dict[tuple, list[int]] = {}
-
-    def by_key(want: tuple) -> list[int]:
-        """The host edges with ``want``'s label and arities, in edge order."""
-        if not keyed:
-            for e in host.edges:
-                keyed.setdefault(ekey(host, e), []).append(e)
-        return keyed.get(want, [])
-
-    def candidates(a: int, via: Optional[Port], new: Optional[bool]) -> list[int]:
-        want = ekey(pat, a)
-        if new:
-            return [b for b in sorted(seeds.new) if ekey(host, b) == want]
-        if via is None:
-            bs = by_key(want)
-        else:
-            v, side, k = via
-            bs = [b for b in seeds.ports.get((vmap[v], side, k), ()) if ekey(host, b) == want]
-        return bs if new is None else [b for b in bs if b not in seeds.new]
+    # Edges outermost first, so a parent box is mapped before its children.
+    edges = sorted(pat.edges, key=lambda e: (pat.depth(("e", e)), e))
+    edge_keys = [ekey(pat, e) for e in edges]
+    by_key: dict[tuple, list[int]] = {}
+    for e in host.edges:
+        by_key.setdefault(ekey(host, e), []).append(e)
 
     vmap: dict[int, int] = {}
     emap: dict[int, int] = {}
@@ -700,32 +610,24 @@ def embeddings(
                 del comps[a]
 
     # After the edges, the vertices that no edge reaches.
-    loose = loose_vertices(pat)
+    touched = {v for e in edges for v in pat.source[e] + pat.target[e]}
+    loose = [v for v in pat.vertices if v not in touched]
 
-    # Every plan places every edge.
-    placed, end = len(pat.edges), len(pat.edges) + len(loose)
-
-    def search(plan: list[SearchStep], i: int) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
-        if i == end:
+    def search(i: int) -> Iterator[tuple[dict[int, int], dict[int, int]]]:
+        if i == len(edges) + len(loose):
             yield dict(vmap), dict(emap)
             return
-        if i < placed:
-            a, cands, attempt = plan[i][0], candidates(*plan[i]), try_edge
+        if i < len(edges):
+            a, cands, attempt = edges[i], by_key.get(edge_keys[i], ()), try_edge
         else:
-            a, cands, attempt = loose[i - placed], host.vertices, try_vertex
+            a, cands, attempt = loose[i - len(edges)], host.vertices, try_vertex
         for b in cands:
             undo: list = []
             if attempt(a, b, undo):
-                yield from search(plan, i + 1)
+                yield from search(i + 1)
             undo_all(undo)
 
-    if seeds is not None:
-        for plan in seeds.orders:
-            yield from search(plan, 0)
-        return
-    # Edges outermost first, so a parent box is mapped before its children.
-    edges = sorted(pat.edges, key=lambda e: (pat.depth(("e", e)), e))
-    yield from search([(e, None, None) for e in edges], 0)
+    yield from search(0)
 
 
 @dataclass

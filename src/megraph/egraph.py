@@ -341,7 +341,6 @@ def translate(eg: EGraph, sig: Signature) -> ExtendedCospan:
 
 @dataclass
 class ReplayStep:
-    description: str
     rule: RewriteRule
     result: ExtendedCospan
 
@@ -513,7 +512,7 @@ def _replay_diff_composite(
     rhs, _ = extract_subdiagram(ra, region_a, ins_a, outs_a)
     lhs, hom = extract_subdiagram(rb, region_b, ins_b, outs_b)
     rule = RewriteRule("rewrite changed region", lhs, rhs)
-    return ReplayStep(rule.name, rule, apply(Match(rule=rule, hom=hom, host=rb)))
+    return ReplayStep(rule, apply(Match(rule=rule, hom=hom, host=rb)))
 
 
 def replay(

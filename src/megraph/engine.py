@@ -18,10 +18,7 @@ from typing import Hashable, NamedTuple, Optional
 from . import cospan as cs
 from .cospan import ExtendedCospan
 from . import term as tm
-from .core import Seeds, port_index, search_orders
 from .rewrite import (
-    Candidate,
-    Carry,
     Glued,
     Match,
     RewriteRule,
@@ -29,7 +26,6 @@ from .rewrite import (
     _top_box,
     alternative,
     apply,
-    carries,
     choose,
     components,
     find_matches,
@@ -198,21 +194,6 @@ def saturate(c: ExtendedCospan, s: Strategy) -> SaturationResult:
     image in several ways, with different results.  On the bidirectional
     swap ``f0;f1 => f1;f0`` over ``(f0;f1)×3/×4/×5`` this takes 21, 103
     and 505 DPO steps, where taking every step takes 60, 280 and 1,260.
-
-    Matching is incremental under the same guards.  Each processed
-    alternative keeps, for each rule that ``rewrite.carries``, its
-    candidates (``find_matches``), until every alternative made from it is
-    processed.  At X, stored whole from the step s at P, such a rule's
-    candidates are P's carried through s's context map, which is injective,
-    and those on an edge s inserted, from a search seeded there
-    (``rewrite.Carry``).  Everything else is searched in full: the initial
-    alternatives, the components of a result split into alternatives, the
-    top-box pass, and rules whose left-hand side has a box, no edge, or a
-    vertex that no edge touches.  The matches and their order are those of
-    the full search, so nothing above changes.
-    On the swap chains above the full search runs twice, once per rule on
-    the one initial alternative, where matching every alternative in full
-    runs it 40, 140 and 504 times.
     """
     rules = list(s.rules)
     n = len(rules)
@@ -225,8 +206,6 @@ def saturate(c: ExtendedCospan, s: Strategy) -> SaturationResult:
               for i in range(len(rules))]
     boxed = [i for i, r in enumerate(rules)
              if any(map(r.lhs.carrier.is_box, r.lhs.carrier.edges))]
-    # The search orders of the rules whose candidates are carried.
-    orders = [search_orders(r.lhs.carrier) if carries(r) else None for r in rules]
     stored: dict[Hashable, tuple[ExtendedCospan, cs.Canonical, int]] = {}
     comps: list[ExtendedCospan] = []
     origins: list[Optional[_Origin]] = []
@@ -234,11 +213,6 @@ def saturate(c: ExtendedCospan, s: Strategy) -> SaturationResult:
     # the index of a stored alternative, and the vertex and edge maps into
     # it from the elements the step kept.
     led: list[dict[_Key, _Lead]] = []
-    # For each processed alternative, each rule's candidates, kept until
-    # every alternative made from it is processed; and for each stored
-    # alternative, how many of those are not.
-    cands: list[Optional[list[Optional[list[Candidate]]]]] = []
-    pending: list[int] = []
 
     def lookup(part: ExtendedCospan) -> tuple[int, Optional[cs.IsoWitness]]:
         """The index of the stored alternative isomorphic to ``part`` and
@@ -253,9 +227,6 @@ def saturate(c: ExtendedCospan, s: Strategy) -> SaturationResult:
         comps.append(part)
         origins.append(origin)
         led.append({})
-        pending.append(0)
-        if origin is not None:
-            pending[origin.host] += 1
 
     for part in components(c):
         if lookup(part)[0] == len(comps):
@@ -307,23 +278,11 @@ def saturate(c: ExtendedCospan, s: Strategy) -> SaturationResult:
         while done < len(comps):
             x, alt, o = done, comps[done], origins[done]
             done += 1
-            ports = port_index(alt.carrier) if o is not None and any(orders) else None
-            mine: list[Optional[list[Candidate]]] = []
             for i, rule in enumerate(rules):
-                found = None if orders[i] is None else []
-                carry = None
-                if found is not None and o is not None:
-                    carry = Carry(cands[o.host][i], o.vmap, o.emap, Seeds(orders[i], o.new, ports))
-                for m in find_matches(rule, alt, carry, found):
+                for m in find_matches(rule, alt):
                     key = (i, _pairs(m.hom.vmap), _pairs(m.hom.emap))
                     if not (o is not None and known(x, key, o)) and not add(m, i, x, key):
                         return finish(False)
-                mine.append(found)
-            cands.append(mine if pending[x] else None)
-            if o is not None:
-                pending[o.host] -= 1
-                if not pending[o.host]:
-                    cands[o.host] = None
         if len(comps) < 2 or not boxed:
             return finish(True)
         joined = cs.join_raw(comps)
@@ -359,18 +318,14 @@ def _carried(key: _Key, vmap: dict[int, int], emap: dict[int, int]) -> Optional[
 
 class _Origin(NamedTuple):
     """How ``saturate`` made a stored alternative X: by the step ``step`` at
-    ``comps[host]``.  ``vmap`` and ``emap`` are the step's context map,
-    from the host's elements that the step kept to X's, and ``back_v`` and
-    ``back_e`` its inverse; ``new`` are the edges the step inserted, and
+    ``comps[host]``.  ``back_v`` and ``back_e`` invert the step's context
+    map, taking X's elements that the step kept back to the host's, and
     ``undo`` is the key of the step back to the host, or None."""
 
     host: int
     step: _Key
-    vmap: dict[int, int]
-    emap: dict[int, int]
     back_v: dict[int, int]
     back_e: dict[int, int]
-    new: frozenset[int]
     undo: Optional[_Key]
 
     @classmethod
@@ -379,8 +334,8 @@ class _Origin(NamedTuple):
         whose reverse is the rule ``undoes``, or None."""
         ctx, co = result.context, result.comatch
         undo = None if undoes is None else (undoes, _pairs(co.vmap), _pairs(co.emap))
-        return cls(host, step, ctx.vmap, ctx.emap, {b: a for a, b in ctx.vmap.items()},
-                   {b: a for a, b in ctx.emap.items()}, frozenset(co.emap.values()), undo)
+        return cls(host, step, {b: a for a, b in ctx.vmap.items()},
+                   {b: a for a, b in ctx.emap.items()}, undo)
 
 
 def _strict_slots(r: RewriteRule) -> bool:

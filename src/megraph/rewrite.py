@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import copy
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .core import (
     EHomomorphism,
     EHypergraph,
     Element,
-    Seeds,
     Signature,
     _degrees,
     _feeds,
@@ -36,7 +35,6 @@ from .core import (
     down_closure,
     embeddings,
     is_acyclic,
-    loose_vertices,
 )
 from .cospan import (
     ExtendedCospan,
@@ -118,10 +116,6 @@ def rule_from_terms(name: str, l: Term, r: Term, sig: Signature) -> RewriteRule:
     return RewriteRule(name=name, lhs=interpret(l, sig), rhs=interpret(r, sig))
 
 
-# A candidate match's vertex and edge maps.
-Candidate = tuple[dict[int, int], dict[int, int]]
-
-
 @dataclass
 class Match:
     rule: RewriteRule
@@ -129,38 +123,20 @@ class Match:
     host: ExtendedCospan
 
 
-class Carry(NamedTuple):
-    """The step that made a host, for ``find_matches`` to carry a rule's
-    candidates through: ``before`` are the rule's candidates in the step's
-    host, ``vmap`` and ``emap`` the step's injective context map
-    (``Glued.context``), and ``seeds`` the host edges the step inserted,
-    with the left-hand side's ``search_orders`` and the host's
-    ``port_index``."""
-
-    before: Sequence[Candidate]
-    vmap: dict[int, int]
-    emap: dict[int, int]
-    seeds: Seeds
-
-
 # ---------------------------------------------------------------------------
 # Monomorphism enumeration
 # ---------------------------------------------------------------------------
 
 
-def monomorphisms(
-    pat: EHypergraph, host: EHypergraph, seeds: Optional[Seeds] = None
-) -> Iterator[EHomomorphism]:
-    """All injective structure-preserving maps from ``pat`` into ``host``;
-    with ``seeds``, those that put an edge of a box-free ``pat`` on one of
-    ``seeds.new``, each once.
+def monomorphisms(pat: EHypergraph, host: EHypergraph) -> Iterator[EHomomorphism]:
+    """All injective structure-preserving maps from ``pat`` into ``host``.
 
     Top-level pattern elements may land inside host boxes (nested matches);
     nested pattern structure must be preserved exactly.  These are the maps
     of ``core.embeddings``, which preserve labels, ports, parents and
     components by construction.
     """
-    for vmap, emap in embeddings(pat, host, seeds):
+    for vmap, emap in embeddings(pat, host):
         yield EHomomorphism(dom=pat, cod=host, vmap=vmap, emap=emap)
 
 
@@ -182,48 +158,14 @@ def _interface_images_admissible(host: EHypergraph, vs: Sequence[int]) -> bool:
     return len({(host.vparent.get(v), host.vcomp.get(v)) for v in vs}) <= 1
 
 
-def carries(rule: RewriteRule) -> bool:
-    """Whether ``find_matches`` can carry ``rule``'s candidates through a
-    step: its left-hand side has no box, an edge, and no vertex that no
-    edge touches."""
-    g = rule.lhs.carrier
-    return bool(g.edges) and not any(map(g.is_box, g.edges)) and not loose_vertices(g)
-
-
-def find_matches(
-    rule: RewriteRule, host: ExtendedCospan,
-    carry: Optional[Carry] = None, found: Optional[list[Candidate]] = None,
-) -> list[Match]:
+def find_matches(rule: RewriteRule, host: ExtendedCospan) -> list[Match]:
     """Enumerate admissible convex down-closed matches, deterministically ordered.
 
     In two stages.  The monomorphisms of the left-hand side that are
     down-closed and whose interface images are admissible are the
     *candidates*; the convex candidates are the matches, sorted by their
     edge images, then their vertex images, then in the order of the search
-    (``core.embeddings``).  When ``found`` is given, the candidates'
-    maps are appended to it, in the order of the search.
-
-    With ``carry``, the step that made ``host`` from an earlier host, for a
-    rule that ``carries``, the candidates come from two places instead of a
-    search of all of ``host``:
-
-    - each candidate of the earlier host whose edges the step kept, sent
-      through the context map.  Its vertices are kept too: each is an end
-      of one of its edges, and the step removes no end of an edge it
-      keeps.  The context map keeps labels, ports, parents and which
-      elements share a component, so the image is a candidate: there is no
-      box in it, so it is down-closed, and its interface images are placed
-      alike;
-    - the monomorphisms that put an edge on one the step inserted, from a
-      search seeded at those edges (``core.embeddings``).
-
-    A candidate of ``host`` on no inserted edge lies on kept edges and
-    their ends, so it is the image of one of the earlier host.  Convexity
-    is not carried, as the inserted material can open or close a path, so
-    every candidate is checked again.  ``host`` must number its edges in
-    list order, as a pushout does, so that sorting by edge ids puts the
-    candidates in the order of the search.  The matches are those of the
-    full search, in the same order.
+    (``core.embeddings``).
 
     A left-hand side with a bare wire (one vertex that is both an external
     input and an external output) has no match: the images of its input and
@@ -243,19 +185,7 @@ def find_matches(
                 return False
         return _interface_images_admissible(hg, [hom.vmap[v] for v in glue])
 
-    cands: list[EHomomorphism]
-    if carry is None:
-        cands = [h for h in monomorphisms(lhs.carrier, hg) if candidate(h)]
-    else:
-        cv, ce = carry.vmap, carry.emap
-        cands = [EHomomorphism(lhs.carrier, hg, {a: cv[b] for a, b in vs.items()},
-                               {a: ce[d] for a, d in es.items()})
-                 for vs, es in carry.before if ce.keys() >= set(es.values())]
-        cands += [h for h in monomorphisms(lhs.carrier, hg, carry.seeds) if candidate(h)]
-        order = sorted(lhs.carrier.edges)
-        cands.sort(key=lambda h: [h.emap[e] for e in order])
-    if found is not None:
-        found += [(h.vmap, h.emap) for h in cands]
+    cands = [h for h in monomorphisms(lhs.carrier, hg) if candidate(h)]
     if not cands:
         return []
     feeds = _feeds(hg)

@@ -154,7 +154,7 @@ class TestReplay:
     def test_leaf_merge_is_one_changed_region_step(self):
         before, after = leaf_merge_egraphs()
         res = replay(before, leaf_merge_rule(), after, FIG14)
-        assert [s.description for s in res.steps] == ["rewrite changed region"]
+        assert [s.rule.name for s in res.steps] == ["rewrite changed region"]
         assert iso(res.result, translate(after, FIG14)) is not None
 
     def test_merge_of_two_existing_classes_from_documents(self):
@@ -177,7 +177,7 @@ class TestReplay:
         ]))
         rule = (parse("(mul * id:1) ; div"), parse("(id:1 * div) ; mul"))
         res = replay(before, rule, after, ARITH)
-        assert [s.description for s in res.steps] == ["rewrite changed region"]
+        assert [s.rule.name for s in res.steps] == ["rewrite changed region"]
         assert iso(res.result, translate(after, ARITH)) is not None
 
     @pytest.mark.parametrize("case", ["noop", "composite", "leaf merge"])

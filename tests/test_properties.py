@@ -5,23 +5,18 @@ import itertools
 import json
 import random
 from fractions import Fraction
-from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from megraph import engine
 from megraph.core import (
     EHomomorphism,
     EHypergraph,
-    Seeds,
     _feeds,
     _is_convex,
     copy_into,
     degrees,
     down_closure,
     is_convex,
-    port_index,
-    search_orders,
 )
 from megraph.cospan import (
     ExtendedCospan,
@@ -707,99 +702,6 @@ def commuting_case(rng):
              for k, (lhs, rhs) in enumerate(rng.sample(COMMUTING_RULES, rng.randint(1, 3)))]
     return host, Strategy(rules=rules, max_steps=rng.randint(4, 30),
                           bidirectional=rng.random() < 0.75)
-
-
-# ---------------------------------------------------------------------------
-# Incremental matching against the full search
-# ---------------------------------------------------------------------------
-
-
-def seeded_case(rng):
-    """A box-free pattern and a host: the pattern is a random piece, two
-    different pieces side by side (disconnected), or one piece twice side by
-    side (with an automorphism that swaps the copies).  The host is a random
-    diagram, or the pattern once or twice between random pieces, sometimes
-    as one alternative of a box."""
-    n = rng.choice([1, 2])
-    t = random_term(rng, n, n, size=rng.randint(1, 2))
-    shape = rng.randrange(3)
-    if shape:
-        t = Tensor(t, t if shape == 2 else random_term(rng, 1, 1, size=1))
-    pat = interpret(t, BASIC)
-    if rng.random() < 0.3:
-        return pat.carrier, random_diagram(rng).carrier
-    w = pat.arity
-    after = random_term(rng, w, w, size=1)
-    if rng.random() < 0.5:
-        after = Comp(after, t)
-    host = interpret(Comp(Comp(random_term(rng, w, w, size=1), t), after), BASIC)
-    if rng.random() < 0.3:
-        host = join_raw([host, interpret(random_term(rng, w, w, size=2), BASIC)])
-    return pat.carrier, host.carrier
-
-
-class TestSeededSearch:
-    @given(seeds)
-    @MATCHING
-    def test_seeded_monomorphisms_are_those_on_a_new_edge(self, seed):
-        rng = random.Random(seed)
-        pat, host = seeded_case(rng)
-        new = {e for e in host.edges if rng.random() < 0.4}
-        found = [as_key(h.vmap, h.emap) for h in
-                 monomorphisms(pat, host, Seeds(search_orders(pat), new, port_index(host)))]
-        expected = {as_key(h.vmap, h.emap) for h in all_homs(pat, host, injective=True)
-                    if not new.isdisjoint(h.emap.values())}
-        assert len(found) == len(set(found))
-        assert set(found) == expected
-
-
-def carried_against_full(host, s):
-    """Saturate, checking at every alternative matched by carrying that the
-    matches, and the candidates, are those of the full search, in the same
-    order; the number of such checks."""
-    checks = []
-
-    def checked(rule, alt, carry=None, found=None):
-        got = find_matches(rule, alt, carry, found)
-        if carry is not None:
-            full = []
-            want = find_matches(rule, alt, None, full)
-            assert [(m.hom.vmap, m.hom.emap) for m in got] == \
-                [(m.hom.vmap, m.hom.emap) for m in want]
-            assert found == full
-            checks.append(rule)
-        return got
-
-    with mock.patch.object(engine, "find_matches", checked):
-        saturate(host, s)
-    return len(checks)
-
-
-class TestCarriedMatches:
-    @given(seeds)
-    @SATURATION
-    def test_random_rules_match_as_the_full_search(self, seed):
-        rng = random.Random(seed)
-        n = rng.choice([1, 1, 2])
-        host = random_host(rng, n)
-        s = Strategy(rules=random_rules(rng, n, boxed=rng.random() < 0.3), max_steps=8,
-                     bidirectional=rng.random() < 0.5)
-        carried_against_full(host, s)
-
-    @given(seeds)
-    @SATURATION
-    def test_commuting_cases_match_as_the_full_search(self, seed):
-        carried_against_full(*commuting_case(random.Random(seed)))
-
-    def test_both_generators_carry(self):
-        rng = random.Random(0)
-        cases = [commuting_case(rng) for _ in range(20)]
-        for _ in range(20):
-            n = rng.choice([1, 2])
-            cases.append((random_host(rng, n), Strategy(rules=random_rules(rng, n, boxed=False),
-                                                          max_steps=8, bidirectional=True)))
-        counts = [carried_against_full(host, s) for host, s in cases]
-        assert sum(counts[:20]) > 100 and sum(counts[20:]) > 10
 
 
 class TestReversedRule:

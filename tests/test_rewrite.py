@@ -103,6 +103,12 @@ class TestFindMatches:
         a = [sorted(m.hom.emap.values()) for m in find_matches(rule, host)]
         b = [sorted(m.hom.emap.values()) for m in find_matches(rule, host)]
         assert a == b and len(a) == 3
+        # Sorted by edge images, then by vertex images, then in search order,
+        # which breaks the ties between a match and its swap automorphism.
+        rule = rule_from_terms("r", parse("f * f"), parse("g * g"), BASIC)
+        assert [m.hom.emap for m in find_matches(rule, interp("f * f * f"))] == [
+            {0: 0, 1: 1}, {0: 1, 1: 0}, {0: 0, 1: 2}, {0: 2, 1: 0}, {0: 1, 1: 2}, {0: 2, 1: 1},
+        ]
 
 
 class TestBoundaryComplement:
